@@ -9,7 +9,10 @@
 // results stream as NDJSON straight off Session.Query cursors: one JSON
 // object per line — a schema line, then row lines, then a stats trailer
 // (or an error object if the stream dies mid-flight), so a response is
-// well formed even when it is truncated. Execution is bound to the
+// well formed even when it is truncated. Row lines are appended straight
+// from the typed cells, without reflection, yet byte-identical to what
+// encoding/json writes for the same Message; an oracle test and a fuzz
+// target in the package tests pin that. Execution is bound to the
 // request context: client disconnects and deadlines cancel the storage
 // scans within one batch.
 //

@@ -74,6 +74,11 @@ type Server struct {
 	baseCtx context.Context
 	kill    context.CancelFunc
 
+	// admit orders admission against Shutdown: a query checks draining
+	// and joins wg under it, and Shutdown sets draining under it before
+	// waiting, so no query is admitted once the drain has begun. draining
+	// is written only under admit; health and stats read it lock-free.
+	admit    sync.Mutex
 	draining atomic.Bool
 	wg       sync.WaitGroup
 
@@ -169,7 +174,9 @@ func (s *Server) Stats() StatsSnapshot {
 // returns once every in-flight query has unwound; the error is ctx.Err()
 // when the deadline forced a truncation, nil on a clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.admit.Lock()
 	s.draining.Store(true)
+	s.admit.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -191,11 +198,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed,
 			&Message{Type: "error", Code: "method_not_allowed", Message: "use POST"})
-		return
-	}
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable,
-			&Message{Type: "error", Code: "draining", Message: "server is shutting down"})
 		return
 	}
 	var req QueryRequest
@@ -220,12 +222,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Admission comes after the body is read, so a slow upload never holds
+	// up a drain; once admitted, the query is one Shutdown waits for.
+	if !s.admitQuery() {
+		s.writeError(w, http.StatusServiceUnavailable,
+			&Message{Type: "error", Code: "draining", Message: "server is shutting down"})
+		return
+	}
+	defer s.wg.Done()
+
 	// The query context: cancelled by the client disconnecting (r.Context),
 	// by a drain deadline expiring (baseCtx via AfterFunc), or by the
 	// deadline — whichever comes first. Cancellation reaches the storage
 	// scans within one batch.
-	s.wg.Add(1)
-	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
@@ -255,9 +264,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.streamCursor(w, cur)
 }
 
+// admitQuery joins the drain's wait group unless the server is draining.
+func (s *Server) admitQuery() bool {
+	s.admit.Lock()
+	defer s.admit.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.wg.Add(1)
+	return true
+}
+
 // streamCursor writes the NDJSON body: schema, rows, then either the stats
 // trailer or a final error line. Every write path leaves the response a
-// sequence of complete JSON lines.
+// sequence of complete JSON lines. Row lines are appended to one buffer
+// per stream and written out every flushEvery rows; whatever is still
+// buffered goes out before the last line.
 func (s *Server) streamCursor(w http.ResponseWriter, cur *paradise.Cursor) {
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
@@ -274,18 +296,26 @@ func (s *Server) streamCursor(w http.ResponseWriter, cur *paradise.Cursor) {
 	}
 	flush()
 
+	var buf []byte
 	rows := 0
 	for cur.Next() {
-		if err := enc.Encode(&Message{Type: "row", Values: rowValues(cur.Row())}); err != nil {
-			s.rowsStreamed.Add(int64(rows))
-			return
-		}
+		buf = appendRowLine(buf, cur.Row())
 		rows++
 		if rows%flushEvery == 0 {
+			if _, err := w.Write(buf); err != nil {
+				return // client is gone
+			}
+			s.rowsStreamed.Add(flushEvery)
+			buf = buf[:0]
 			flush()
 		}
 	}
-	s.rowsStreamed.Add(int64(rows))
+	if len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return
+		}
+		s.rowsStreamed.Add(int64(rows % flushEvery))
+	}
 
 	if err := cur.Err(); err != nil {
 		// Mid-stream failure (cancellation, drain deadline, execution

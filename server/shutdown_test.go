@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -155,5 +156,105 @@ func TestShutdownMidStreamTruncates(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[len(lines)-1], "\n") {
 		t.Fatalf("final line not newline-terminated: %q", lines[len(lines)-1])
+	}
+}
+
+// firstRead signals once its body has been read from.
+type firstRead struct {
+	io.ReadCloser
+	once sync.Once
+	read chan struct{}
+}
+
+func (b *firstRead) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.read) })
+	return b.ReadCloser.Read(p)
+}
+
+// TestShutdownSlowBodyAdmission: a query whose body is still arriving when
+// Shutdown starts must not slip past the drain. Either Shutdown waits for
+// it, or it is refused with 503; it must never get a 200 after Shutdown
+// has reported a clean drain.
+func TestShutdownSlowBodyAdmission(t *testing.T) {
+	srv, err := New(Config{Store: testStore(t, 100), Tenants: []TenantConfig{{Name: "default"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyRead := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			r.Body = &firstRead{ReadCloser: r.Body, read: bodyRead}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+
+	type result struct {
+		status int
+		body   []byte
+		err    error
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	done := make(chan result, 1)
+	go func() {
+		resp, err := hs.Client().Post(hs.URL+"/v1/query", "application/json", pr)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		done <- result{resp.StatusCode, body, err}
+	}()
+
+	// Half the body, then wait until the handler is reading it: the request
+	// is inside handleQuery, past any check made before the body.
+	if _, err := io.WriteString(pw, `{"sql":"SELECT x`); err != nil {
+		t.Fatal(err)
+	}
+	<-bodyRead
+
+	shutDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutDone <- srv.Shutdown(ctx)
+	}()
+	shutFirst := false
+	select {
+	case err := <-shutDone:
+		if err != nil {
+			t.Fatalf("Shutdown with nothing admitted returned %v", err)
+		}
+		shutFirst = true
+	case <-time.After(200 * time.Millisecond):
+		// Shutdown is waiting, which is only right if it waits for this
+		// request to finish.
+	}
+
+	if _, err := io.WriteString(pw, ` FROM d"}`); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	switch {
+	case res.status == http.StatusServiceUnavailable:
+		var msg Message
+		if err := json.Unmarshal(res.body, &msg); err != nil || msg.Code != "draining" {
+			t.Fatalf("503 body %q, want a draining error", res.body)
+		}
+	case shutFirst:
+		t.Fatalf("status %d after Shutdown reported a clean drain: %q", res.status, res.body)
+	case res.status != http.StatusOK || !bytes.Contains(res.body, []byte(`"type":"stats"`)):
+		t.Fatalf("admitted query: status %d body %q", res.status, res.body)
+	}
+	if !shutFirst {
+		if err := <-shutDone; err != nil {
+			t.Fatalf("Shutdown after the admitted query finished returned %v", err)
+		}
 	}
 }

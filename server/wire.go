@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -48,7 +50,8 @@ type Message struct {
 
 	// Row line. Values are JSON-native: null, bool, number, string;
 	// timestamps are RFC 3339 strings; non-finite floats are the strings
-	// "NaN", "+Inf", "-Inf" (JSON has no spelling for them).
+	// "NaN", "+Inf", "-Inf" (JSON has no spelling for them). The server
+	// writes row lines with appendRowLine; the field is for decoding.
 	Values []any `json:"values,omitempty"`
 
 	// Stats trailer (the Figure 3 accounting of the drained chain).
@@ -105,40 +108,86 @@ func schemaMessage(rel *paradise.Relation) *Message {
 	return &Message{Type: "schema", Columns: cols}
 }
 
-// rowValues encodes one row into JSON-native values.
-func rowValues(r paradise.Row) []any {
-	out := make([]any, len(r))
-	for i, v := range r {
-		out[i] = encodeValue(v)
+// appendRowLine appends the row line of r to dst, newline included, byte
+// for byte as json.Encoder writes the equivalent Message (Type "row",
+// Values: the JSON-native cells), but straight from the typed values:
+// no boxing, no reflection.
+func appendRowLine(dst []byte, r paradise.Row) []byte {
+	if len(r) == 0 { // Values is omitempty
+		return append(dst, `{"type":"row"}`+"\n"...)
 	}
-	return out
+	dst = append(dst, `{"type":"row","values":[`...)
+	for i, v := range r {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendValue(dst, v)
+	}
+	return append(dst, "]}\n"...)
 }
 
-// encodeValue maps one typed cell to its JSON representation.
-func encodeValue(v paradise.Value) any {
+// appendValue appends the JSON spelling of one typed cell: timestamps as
+// RFC 3339 strings, non-finite floats as "NaN", "+Inf", "-Inf".
+func appendValue(dst []byte, v paradise.Value) []byte {
 	switch v.Type() {
 	case paradise.TypeBool:
-		return v.AsBool()
+		return strconv.AppendBool(dst, v.AsBool())
 	case paradise.TypeInt:
-		return v.AsInt()
+		return strconv.AppendInt(dst, v.AsInt(), 10)
 	case paradise.TypeFloat:
-		f := v.AsFloat()
-		switch {
-		case math.IsNaN(f):
-			return "NaN"
-		case math.IsInf(f, 1):
-			return "+Inf"
-		case math.IsInf(f, -1):
-			return "-Inf"
-		}
-		return f
+		return appendFloat(dst, v.AsFloat())
 	case paradise.TypeString:
-		return v.AsString()
+		return appendString(dst, v.AsString())
 	case paradise.TypeTime:
-		return v.AsTime().Format(time.RFC3339Nano)
+		dst = append(dst, '"')
+		dst = v.AsTime().AppendFormat(dst, time.RFC3339Nano)
+		return append(dst, '"')
 	default: // NULL
-		return nil
+		return append(dst, "null"...)
 	}
+}
+
+// appendFloat spells f as encoding/json's floatEncoder does for float64:
+// shortest round-trip digits, exponent form outside [1e-6, 1e21), and
+// e-09 shortened to e-9.
+func appendFloat(dst []byte, f float64) []byte {
+	switch {
+	case math.IsNaN(f):
+		return append(dst, `"NaN"`...)
+	case math.IsInf(f, 1):
+		return append(dst, `"+Inf"`...)
+	case math.IsInf(f, -1):
+		return append(dst, `"-Inf"`...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// appendString quotes s. Printable ASCII without '"', '\\' or the HTML
+// characters '<', '>', '&' needs no escaping and is copied as is; anything
+// else goes through json.Marshal, so HTML escaping, control characters,
+// invalid UTF-8 and U+2028/U+2029 come out exactly as encoding/json
+// writes them.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // statsMessage renders the trailer from the drained chain's accounting.
