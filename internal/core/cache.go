@@ -263,15 +263,16 @@ func (p *Processor) compileStatement(sel *sqlparser.Select, mod *policy.Module) 
 		return nil, err
 	}
 	rep.Annotate(root, mod.ID)
+	stats := p.statsSource()
 	if p.reorder {
-		root = logical.ReorderJoins(root, p.statsSource())
+		root = logical.ReorderJoins(root, stats)
 	}
 	plan, err := fragment.New().FromPlan(root)
 	if err != nil {
 		return nil, err
 	}
 	if !p.fixedPlace {
-		plan.PlaceCostBased(p.statsSource())
+		plan.PlaceCostBased(stats)
 	}
 	return &prepared{
 		rewritten:    rewritten,

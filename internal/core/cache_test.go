@@ -291,3 +291,33 @@ func TestPolicyFingerprint(t *testing.T) {
 		t.Fatal("different policies share a fingerprint")
 	}
 }
+
+// TestStatsSourceSnapshotPerCompilation: one statsSource closure answers
+// every lookup of a table from the snapshot its first lookup took (any
+// spelling), while a fresh closure — the next compilation — reads the
+// store live again.
+func TestStatsSourceSnapshotPerCompilation(t *testing.T) {
+	st := cacheStore(t)
+	p := cachedProcessor(t, st, policy.Figure4(), nil)
+	stats := p.statsSource()
+	first, ok := stats("d")
+	if !ok || first.Rows != 64 {
+		t.Fatalf("first lookup = %+v, %v; want 64 rows", first, ok)
+	}
+	tab, err := st.Table("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(schema.Row{schema.String("u0"), schema.Float(1), schema.Float(2), schema.Float(3), schema.Int(9)}); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := stats("D"); again != first {
+		t.Fatalf("second lookup in one compilation re-read the store: %+v", again)
+	}
+	if _, ok := stats("missing"); ok {
+		t.Fatal("unknown table must stay unknown")
+	}
+	if fresh, _ := p.statsSource()("d"); fresh.Rows != 65 {
+		t.Fatalf("next compilation sees %v rows, want the live 65", fresh.Rows)
+	}
+}

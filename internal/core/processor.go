@@ -170,43 +170,63 @@ func New(cfg Config) (*Processor, error) {
 
 // statsSource adapts the store's per-table statistics (row counts, wire
 // bytes, per-column NDV/min/max/null counts) to the plan estimator's
-// interface. The closure reads the store live, so each compilation sees
-// the statistics as of compile time; cached plans keep the placement they
-// were compiled with until DDL shifts the schema epoch.
+// interface. Call it once per compilation: the closure reads the store
+// live on the first lookup of each table, so the compilation sees the
+// statistics as of compile time, and then memoizes the snapshot — a
+// lookup re-bins the tail histogram under the table lock, and placement
+// asks for the same table more than once. Nothing is cached across
+// compilations; cached plans keep the placement they were compiled with
+// until DDL shifts the schema epoch.
 func (p *Processor) statsSource() logical.Stats {
 	st := p.store
-	return func(table string) (*logical.TableStats, bool) {
-		ts, err := st.TableStats(table)
-		if err != nil {
-			return nil, false
-		}
-		out := &logical.TableStats{
-			Rows: float64(ts.Rows),
-			Cols: make(map[string]logical.ColStats, len(ts.Cols)),
-		}
-		if ts.Rows > 0 {
-			out.RowBytes = float64(ts.Bytes) / float64(ts.Rows)
-		}
-		for _, c := range ts.Cols {
-			nullFrac := 0.0
-			if ts.Rows > 0 {
-				nullFrac = float64(c.Nulls) / float64(ts.Rows)
-			}
-			cs := logical.ColStats{
-				NDV:      float64(c.NDV),
-				NullFrac: nullFrac,
-				HasRange: c.HasRange,
-				Min:      c.Min,
-				Max:      c.Max,
-				AvgBytes: c.AvgBytes(ts.Rows),
-			}
-			if c.Hist != nil {
-				cs.Hist = c.Hist
-			}
-			out.Cols[strings.ToLower(c.Name)] = cs
-		}
-		return out, true
+	type entry struct {
+		ts *logical.TableStats
+		ok bool
 	}
+	memo := map[string]entry{}
+	return func(table string) (*logical.TableStats, bool) {
+		key := strings.ToLower(table)
+		if e, ok := memo[key]; ok {
+			return e.ts, e.ok
+		}
+		ts, ok := tableStats(st, table)
+		memo[key] = entry{ts, ok}
+		return ts, ok
+	}
+}
+
+// tableStats reads one table's live statistics for the estimator.
+func tableStats(st *storage.Store, table string) (*logical.TableStats, bool) {
+	ts, err := st.TableStats(table)
+	if err != nil {
+		return nil, false
+	}
+	out := &logical.TableStats{
+		Rows: float64(ts.Rows),
+		Cols: make(map[string]logical.ColStats, len(ts.Cols)),
+	}
+	if ts.Rows > 0 {
+		out.RowBytes = float64(ts.Bytes) / float64(ts.Rows)
+	}
+	for _, c := range ts.Cols {
+		nullFrac := 0.0
+		if ts.Rows > 0 {
+			nullFrac = float64(c.Nulls) / float64(ts.Rows)
+		}
+		cs := logical.ColStats{
+			NDV:      float64(c.NDV),
+			NullFrac: nullFrac,
+			HasRange: c.HasRange,
+			Min:      c.Min,
+			Max:      c.Max,
+			AvgBytes: c.AvgBytes(ts.Rows),
+		}
+		if c.Hist != nil {
+			cs.Hist = c.Hist
+		}
+		out.Cols[strings.ToLower(c.Name)] = cs
+	}
+	return out, true
 }
 
 // Cache returns the processor's plan cache, or nil.

@@ -62,6 +62,12 @@ func BenchmarkScanFilter(b *testing.B) {
 	benchQuery(b, "SELECT * FROM d WHERE z < 1")
 }
 
+// BenchmarkScanResidualFilter filters with an OR, which compiles to no
+// kernel: the whole filter is residual, evaluated row at a time.
+func BenchmarkScanResidualFilter(b *testing.B) {
+	benchQuery(b, "SELECT x, y, t FROM d WHERE z < 0.5 OR x > y")
+}
+
 func BenchmarkProjectExpression(b *testing.B) {
 	benchQuery(b, "SELECT x + y AS s, z * 2 FROM d WHERE x > y")
 }
@@ -116,6 +122,10 @@ func benchQueryPar(b *testing.B, sql string) {
 
 func BenchmarkScanFilterParallel(b *testing.B) {
 	benchQueryPar(b, "SELECT * FROM d WHERE z < 1")
+}
+
+func BenchmarkScanResidualFilterParallel(b *testing.B) {
+	benchQueryPar(b, "SELECT x, y, t FROM d WHERE z < 0.5 OR x > y")
 }
 
 func BenchmarkProjectExpressionParallel(b *testing.B) {

@@ -14,23 +14,29 @@
 // their input. Scan nodes carry pruned column sets and pushed predicates
 // into the source's scans, so unused columns never leave storage.
 // Engine.Select drains the pipeline into a materialized Result; Engine.Open
-// exposes the pipeline itself so fragment chains and network nodes can
-// process batches without holding whole intermediate relations.
+// exposes the pipeline itself as row batches, and Engine.OpenBatches as
+// column batches — the form fragment chains hand from stage to stage
+// without holding whole intermediate relations.
 //
-// Over sources that serve column batches (ColScanner; storage.Store does),
-// the hot paths run vectorized: filter conjuncts compile into comparison
-// kernels over typed vectors refining a selection vector (vecscan.go, with
-// the non-kernelizable suffix evaluated row-at-a-time on pivoted
-// survivors), numeric projections evaluate vector-at-a-time
-// (vecproject.go), and simple DISTINCT and GROUP BY blocks skip row
-// pipelines entirely (vecblock.go, vecgroup.go). Every vectorized path is
-// an internal fast path pinned bit-identical to the row path — same rows,
-// order, and error text — and declines to the row path whenever exact
-// semantics would be at risk (windows, sorts, boxed vectors, non-numeric
-// expressions). Hashed operators share one key definition,
+// Over sources that serve column batches (ColScanner: storage.Store and
+// the fragment package's stage outputs), the hot paths run vectorized:
+// filter conjuncts compile into comparison kernels over typed vectors
+// refining a selection vector (vecscan.go, with the non-kernelizable
+// suffix evaluated row-at-a-time on pivoted survivors), plain and numeric
+// projections evaluate vector-at-a-time (vecproject.go), and simple
+// DISTINCT and GROUP BY blocks skip row pipelines entirely (vecblock.go,
+// vecgroup.go). A streaming vectorized block hands its batches over
+// unpivoted to a columnar consumer and pivots only for a row consumer.
+// The block shape chooses this path at every parallelism. Every vectorized
+// path is an internal fast path pinned bit-identical to the row path —
+// same rows, order, and error text — and declines to the row path whenever
+// exact semantics would be at risk (windows, sorts, boxed vectors,
+// non-numeric expressions). Hashed operators share one key definition,
 // schema.AppendGroupKey, built alloc-free from rows or vectors alike.
 //
-// With WithParallelism(n), n > 1, streamable segments run morsel-parallel
+// With WithParallelism(n), n > 1, the streamable segments of the blocks
+// the vectorized compile declines (joins, derived inputs, row-only
+// expressions, windows, sorts) run morsel-parallel
 // (parallel.go): n workers pull sequence-numbered morsels from a shared
 // cursor, apply per-worker scan/filter/probe/projection stages, and an
 // order-preserving exchange re-emits their output in morsel order. GROUP BY

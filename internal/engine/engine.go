@@ -16,8 +16,9 @@ var ErrQuery = errors.New("engine: query error")
 
 // Source supplies base relations by name. storage.Store implements it;
 // the network simulator implements it per node. Sources that additionally
-// implement BatchSource are scanned batch-at-a-time with projection and
-// predicate pushdown instead of being materialized.
+// implement ColScanner are scanned as column batches, those implementing
+// BatchSource as row batches, both with projection and predicate pushdown
+// instead of being materialized.
 type Source interface {
 	Relation(name string) (*schema.Relation, schema.Rows, error)
 }
@@ -122,6 +123,21 @@ func (e *Engine) OpenSelect(ctx context.Context, sel *sqlparser.Select) (*schema
 	return e.Open(ctx, root)
 }
 
+// OpenBatches is Open for columnar consumers such as the next fragment
+// stage: a block compiled columnar hands its batches over as they are, and
+// only a block that is row-only all the way through converts its output
+// rows once, at its head.
+func (e *Engine) OpenBatches(ctx context.Context, root plan.Node) (*schema.Relation, schema.ColIterator, error) {
+	rel, it, err := e.openBlock(ctx, root)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ci, ok := it.(schema.ColIterator); ok {
+		return rel, ci, nil
+	}
+	return rel, schema.RowBatches(rel, it), nil
+}
+
 // Open compiles a logical plan into its output schema and a pull-based
 // batch iterator. The caller owns the iterator and must Close it (or drain
 // it with schema.DrainIterator, which closes on exhaustion); closing early
@@ -139,14 +155,17 @@ func (e *Engine) Open(ctx context.Context, root plan.Node) (*schema.Relation, sc
 }
 
 // openBlock compiles one query block (plan.SplitBlock — the single owner of
-// the block-shape rule) into its output schema and iterator, taking the
-// morsel-parallel path (parallel.go) when the engine is configured for it
-// and the block shape is eligible.
+// the block-shape rule) into its output schema and iterator. The block
+// shape picks the path, at every parallelism: a single-table block whose
+// work compiles columnar over a ColScanner runs vectorized (vecblock.go);
+// the blocks that compile declines take the morsel-parallel path
+// (parallel.go) when the engine is configured for it, and the serial row
+// path otherwise.
 func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation, schema.RowIterator, error) {
 	blk, src := plan.SplitBlock(top)
 
-	if e.parallelizable(blk) {
-		rel, it, ok, err := e.openBlockParallel(ctx, blk, src)
+	if s, ok := src.(*plan.Scan); ok {
+		rel, it, ok, err := e.openVecBlock(ctx, s, blk)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -155,8 +174,8 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 		}
 	}
 
-	if s, ok := src.(*plan.Scan); ok {
-		rel, it, ok, err := e.openVecBlock(ctx, s, blk)
+	if e.parallelizable(blk) {
+		rel, it, ok, err := e.openBlockParallel(ctx, blk, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -288,12 +307,14 @@ func (e *Engine) openPlanScan(ctx context.Context, s *plan.Scan, blk *plan.Block
 		b = bindingFromRelation(rel.Project(cols), qual)
 	}
 
-	// Vectorized path: when the source serves column batches and at least
-	// one filter conjunct compiles to a kernel, run the filter columnar and
-	// pivot only the survivors. Without kernels the row path is equivalent
-	// (storage already prunes columns at the pivot), so don't bother.
+	// Vectorized path: when the source serves column batches, run the
+	// filter columnar and pivot only the survivors. Without kernels a
+	// source that also scans rows is equivalent on its row path (storage
+	// prunes columns at the pivot), so only a columnar-only source — a
+	// fragment stage's output — takes it then.
 	if cs, ok := e.src.(ColScanner); ok {
-		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok && len(p.kernels) > 0 {
+		_, rowScans := e.src.(BatchSource)
+		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok && (len(p.kernels) > 0 || !rowScans) {
 			ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
 			if err != nil {
 				return nil, nil, err
@@ -321,15 +342,24 @@ func (e *Engine) openPlanScan(ctx context.Context, s *plan.Scan, blk *plan.Block
 	// once, so a small LIMIT stops after one small pivot.
 	if blk.Limit != nil && len(conds) == 0 &&
 		blk.Agg == nil && blk.Win == nil && blk.Sort == nil && blk.Distinct == nil {
-		if n := int(blk.Limit.N); n >= 0 && n < schema.DefaultBatchSize {
-			sc.BatchSize = n + 1 // never 0: 0 means "default"
-		}
+		sc.BatchSize = limitBatch(blk.Limit.N, sc.BatchSize)
 	}
 	it, err := OpenScan(ctx, e.src, s.Table, sc)
 	if err != nil {
 		return nil, nil, err
 	}
 	return b, it, nil
+}
+
+// limitBatch is the batch size of a scan feeding a streaming LIMIT n with
+// nothing in between that drops rows: n+1 when that is below the default
+// (never 0, which means "default"), so a small LIMIT stops after one small
+// batch.
+func limitBatch(n int64, batch int) int {
+	if n >= 0 && n < schema.DefaultBatchSize {
+		return int(n) + 1
+	}
+	return batch
 }
 
 // scanColumns decides the projection pushed into a scan: the plan's pruned

@@ -16,34 +16,46 @@ import (
 
 // BatchSource is an optional extension of Source: relations can be opened
 // as pulled batch scans with projection and predicate pushdown, and schemas
-// inspected without materializing rows. storage.Store implements it; the
-// fragment and network packages implement it for intermediate stage outputs.
+// inspected without materializing rows. storage.Store implements it, and so
+// does the network simulator's fan-in overlay.
 type BatchSource interface {
 	Source
-	// RelationSchema returns the schema of the named relation without
-	// touching its rows.
-	RelationSchema(name string) (*schema.Relation, error)
+	schemaSource
 	// OpenScan opens a batch scan bound to ctx. The scan's Filter sees
 	// full-width rows; Columns projects after filtering. Implementations
 	// must check ctx per batch so cancellation stops the scan promptly.
 	OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error)
 }
 
+// schemaSource is the capability to describe a relation without touching
+// its rows, shared by BatchSource and the columnar fragment-stage source.
+type schemaSource interface {
+	RelationSchema(name string) (*schema.Relation, error)
+}
+
 // RelationSchema returns the schema of a named relation, avoiding row
 // materialization when the source supports it.
 func RelationSchema(src Source, name string) (*schema.Relation, error) {
-	if bs, ok := src.(BatchSource); ok {
-		return bs.RelationSchema(name)
+	if ss, ok := src.(schemaSource); ok {
+		return ss.RelationSchema(name)
 	}
 	rel, _, err := src.Relation(name)
 	return rel, err
 }
 
-// OpenScan opens a streaming scan over any Source, adapting sources that
-// only materialize with an in-memory scan bound to ctx.
+// OpenScan opens a streaming row scan over any Source: a BatchSource scans
+// itself, a source that only serves column batches is pivoted, and a source
+// that only materializes is scanned in memory, bound to ctx.
 func OpenScan(ctx context.Context, src Source, name string, sc schema.Scan) (schema.RowIterator, error) {
 	if bs, ok := src.(BatchSource); ok {
 		return bs.OpenScan(ctx, name, sc)
+	}
+	if cs, ok := src.(ColScanner); ok {
+		ci, err := cs.OpenColScan(ctx, name, schema.ColScan{Predicate: sc.Predicate, BatchSize: sc.BatchSize})
+		if err != nil {
+			return nil, err
+		}
+		return schema.FilterProject(schema.WithContext(ctx, schema.PivotRows(ci)), sc), nil
 	}
 	_, rows, err := src.Relation(name)
 	if err != nil {

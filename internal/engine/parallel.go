@@ -15,7 +15,10 @@ import (
 // compiled into a parSeg: a shared morsel source plus a list of per-worker
 // stage factories. N workers pull morsels, run the fused stage pipeline
 // over them, and hand the results to an order-preserving exchange that
-// re-emits batches in morsel order.
+// re-emits batches in morsel order. Single-table blocks whose work compiles
+// columnar over a ColScanner never get here: they run vectorized at every
+// parallelism (vecblock.go), so this path serves the blocks that compile
+// declines — joins, derived inputs, row-only expressions, windows, sorts.
 //
 // The ordering discipline is what makes parallel execution invisible:
 // because the exchange restores the serial pull order, every downstream

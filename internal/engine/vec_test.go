@@ -325,3 +325,107 @@ func TestVectorizedMatchesRowPathFuzz(t *testing.T) {
 		}
 	}
 }
+
+// colOnly serves a store's relations as column batches only, the way a
+// fragment stage's output is served: no row scans, no row morsels.
+type colOnly struct{ st *storage.Store }
+
+func (c colOnly) Relation(name string) (*schema.Relation, schema.Rows, error) {
+	return c.st.Relation(name)
+}
+
+func (c colOnly) RelationSchema(name string) (*schema.Relation, error) {
+	return c.st.RelationSchema(name)
+}
+
+func (c colOnly) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	return c.st.OpenColScan(ctx, name, sc)
+}
+
+func (c colOnly) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	return c.st.OpenColMorsels(ctx, name, sc)
+}
+
+// TestVecProjectResidualOnlyScan pins which plain single-table blocks run
+// columnar. The one shape left to the row path is a block with no
+// expression item whose filter has no kernel (an OR) over a source that
+// also scans rows; over a source serving column batches only, the same
+// block runs columnar. Both must agree with the row path.
+func TestVecProjectResidualOnlyScan(t *testing.T) {
+	ctx := context.Background()
+	st := vecStore(t, false)
+	cases := []struct {
+		sql       string
+		overStore bool // columnar over the store too
+	}{
+		{"SELECT i, f FROM v WHERE i > 1 OR s = 'a'", false},
+		{"SELECT i, f FROM v WHERE i > 1", true},
+		{"SELECT i, f FROM v", true},
+		{"SELECT i + 1 AS j, f FROM v WHERE i > 1 OR s = 'a'", true},
+	}
+	for _, c := range cases {
+		want, err := New(rowOnly{st}).Query(ctx, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []Source{st, colOnly{st}} {
+			for _, par := range []int{1, 2} {
+				_, it, err := New(src).WithParallelism(par).openBlock(ctx, mustPlan(t, c.sql))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, vec := it.(*vecHead)
+				_, isCol := src.(colOnly)
+				if vec != (c.overStore || isCol) {
+					t.Errorf("%s over %T at parallelism %d: columnar = %v", c.sql, src, par, vec)
+				}
+				got, err := schema.DrainIterator(it)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want.Rows) {
+					t.Fatalf("%s over %T: %d rows, row path %d", c.sql, src, len(got), len(want.Rows))
+				}
+				for i := range got {
+					for k := range got[i] {
+						if !sameValue(got[i][k], want.Rows[i][k]) {
+							t.Fatalf("%s over %T row %d: %v, row path %v", c.sql, src, i, got[i], want.Rows[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVecProjectLentBatches drains expression projections through a row
+// consumer, which makes the projection lend its output batch, over many
+// batches whose NULLs and filter survivors sit at different positions in
+// each batch: every reused vector, null mask and selection must read as
+// if it were fresh.
+func TestVecProjectLentBatches(t *testing.T) {
+	st := storage.NewStore()
+	n := st.Create(schema.NewRelation("n",
+		schema.Col("i", schema.TypeInt),
+		schema.Col("f", schema.TypeFloat),
+	))
+	for k := 0; k < 1000; k++ {
+		row := schema.Row{schema.Int(int64(k % 17)), schema.Float(float64(k%13) / 4)}
+		if k%7 == 0 {
+			row[0] = schema.Null()
+		}
+		if k%11 == 0 {
+			row[1] = schema.Null()
+		}
+		if err := n.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT i + 1 AS a, f * 2 AS b FROM n",
+		"SELECT i * 3 AS a, f FROM n WHERE i > 4",
+		"SELECT -i AS a, f / 2 AS b FROM n WHERE f < 2.0 LIMIT 300",
+	} {
+		checkEquivalence(t, st, q)
+	}
+}

@@ -9,11 +9,16 @@ import (
 )
 
 // This file wires whole query-block shapes onto the columnar scan when the
-// block's work can run over vectors: DISTINCT over plain columns
-// (vecDistinctIter below) and grouped aggregation (vecgroup.go). Both paths
-// share the compiled scan (vecscan.go) and decline — ok=false, no error —
-// whenever any piece of the block needs the row-at-a-time machinery, so the
-// row path remains the single source of truth for full SQL semantics.
+// block's work can run over vectors: plain and expression projections
+// (vecproject.go), DISTINCT over plain columns (vecDistinctIter below) and
+// grouped aggregation (vecgroup.go). All paths share the compiled scan
+// (vecscan.go) and decline — ok=false, no error — whenever any piece of
+// the block needs the row-at-a-time machinery, so the row path remains the
+// single source of truth for full SQL semantics.
+//
+// A streaming vectorized block ends in a vecHead: the next fragment stage
+// pulls its batches as they are (NextBatch), and only a row consumer pays
+// the pivot (Next).
 
 // openVecBlock tries the vectorized whole-block paths for a single-table
 // block. ok=false means the caller should compile the block on the row path.
@@ -32,6 +37,105 @@ func (e *Engine) openVecBlock(ctx context.Context, s *plan.Scan, blk *plan.Block
 		return e.openVecDistinct(ctx, cs, s, blk)
 	}
 	return e.openVecProject(ctx, cs, s, blk)
+}
+
+// vecHead is the head of a streaming block compiled columnar, bound to
+// ctx: NextBatch hands the block's batches over unpivoted (the next
+// fragment stage's input), and Next pivots the same batches for row
+// consumers. A consumer uses one of the two. It never serves an empty
+// batch.
+type vecHead struct {
+	ctx      context.Context // nil when it can never be cancelled
+	src      schema.ColIterator
+	op       schema.ColIterator // the block's operator, under any LIMIT
+	pivoting bool
+}
+
+// lender is an operator that can lend its output batches instead of
+// handing them over: a lent batch, with its vectors and selection, is
+// valid only until the next pull. A row consumer pivots each batch before
+// pulling the next, so lending spares it the per-batch allocations.
+type lender interface{ lend() }
+
+func newVecHead(ctx context.Context, op schema.ColIterator, blk *plan.Block) *vecHead {
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
+	h := &vecHead{ctx: ctx, src: op, op: op}
+	if blk.Limit != nil {
+		n := int(blk.Limit.N)
+		if n < 0 {
+			n = 0
+		}
+		h.src = &vecLimitIter{src: op, remaining: n}
+	}
+	return h
+}
+
+func (h *vecHead) NextBatch() (*schema.ColBatch, error) {
+	if h.ctx != nil {
+		if err := h.ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return h.src.NextBatch()
+}
+
+func (h *vecHead) Next() (schema.Rows, error) {
+	if !h.pivoting {
+		h.pivoting = true
+		if l, ok := h.op.(lender); ok {
+			l.lend()
+		}
+	}
+	cb, err := h.NextBatch()
+	if err != nil || cb == nil {
+		return nil, err
+	}
+	return cb.Rows(), nil
+}
+
+func (h *vecHead) Close() { h.src.Close() }
+
+// vecLimitIter is limitIter over batches: the batch that reaches the limit
+// is cut by selection, and the source is closed as soon as the limit is
+// reached so upstream scans stop pulling.
+type vecLimitIter struct {
+	src       schema.ColIterator
+	remaining int
+}
+
+func (l *vecLimitIter) NextBatch() (*schema.ColBatch, error) {
+	if l.remaining <= 0 {
+		l.src.Close()
+		return nil, nil
+	}
+	cb, err := l.src.NextBatch()
+	if err != nil || cb == nil {
+		l.remaining = 0
+		return nil, err
+	}
+	if n := cb.Len(); n < l.remaining {
+		l.remaining -= n
+		return cb, nil
+	}
+	out := *cb
+	if cb.Sel != nil {
+		out.Sel = cb.Sel[:l.remaining:l.remaining]
+	} else {
+		out.Sel = make([]int, l.remaining)
+		for i := range out.Sel {
+			out.Sel[i] = i
+		}
+	}
+	l.remaining = 0
+	l.src.Close()
+	return &out, nil
+}
+
+func (l *vecLimitIter) Close() {
+	l.remaining = 0
+	l.src.Close()
 }
 
 // vecBlockScan compiles the scan half shared by the vectorized block paths:
@@ -90,26 +194,20 @@ func (e *Engine) openVecDistinct(ctx context.Context, cs ColScanner, s *plan.Sca
 	if err != nil {
 		return nil, nil, false, err
 	}
-	var out schema.RowIterator = &vecDistinctIter{
+	d := &vecDistinctIter{
 		src:    ci,
 		ex:     newVecExec(p),
 		srcIdx: srcIdx,
 		orel:   proj.rel,
 		seen:   make(map[string]bool),
 	}
-	if blk.Limit != nil {
-		n := int(blk.Limit.N)
-		if n < 0 {
-			n = 0
-		}
-		out = &limitIter{src: out, remaining: n}
-	}
-	return proj.rel, schema.WithContext(ctx, out), true, nil
+	return proj.rel, newVecHead(ctx, d, blk), true, nil
 }
 
-// vecDistinctIter filters batches with the compiled kernels, deduplicates
-// the survivors by their canonical group key built straight from the column
-// vectors, and pivots only first occurrences.
+// vecDistinctIter filters batches with the compiled kernels and
+// deduplicates the survivors by their canonical group key built straight
+// from the column vectors: a first occurrence stays selected, so the
+// output batch is the input's vectors under a narrower selection.
 type vecDistinctIter struct {
 	src    schema.ColIterator
 	ex     *vecExec
@@ -117,11 +215,9 @@ type vecDistinctIter struct {
 	orel   *schema.Relation
 	seen   map[string]bool
 	kbuf   []byte
-	keep   []int
-	vecs   []schema.ColVec
 }
 
-func (d *vecDistinctIter) Next() (schema.Rows, error) {
+func (d *vecDistinctIter) NextBatch() (*schema.ColBatch, error) {
 	for {
 		cb, err := d.src.NextBatch()
 		if err != nil {
@@ -134,7 +230,7 @@ func (d *vecDistinctIter) Next() (schema.Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.keep = d.keep[:0]
+		var keep []int
 		unique := func(i int) {
 			d.kbuf = d.kbuf[:0]
 			for _, c := range d.srcIdx {
@@ -144,7 +240,7 @@ func (d *vecDistinctIter) Next() (schema.Rows, error) {
 				return
 			}
 			d.seen[string(d.kbuf)] = true
-			d.keep = append(d.keep, i)
+			keep = append(keep, i)
 		}
 		if sel == nil { // nil selection means every physical row is live
 			for i := 0; i < cb.N; i++ {
@@ -155,17 +251,14 @@ func (d *vecDistinctIter) Next() (schema.Rows, error) {
 				unique(i)
 			}
 		}
-		if len(d.keep) == 0 {
+		if len(keep) == 0 {
 			continue
 		}
-		// Gather the output columns (projection order) and pivot the kept
-		// rows only.
-		d.vecs = d.vecs[:0]
-		for _, c := range d.srcIdx {
-			d.vecs = append(d.vecs, cb.Vecs[c])
+		vecs := make([]schema.ColVec, len(d.srcIdx))
+		for k, c := range d.srcIdx {
+			vecs[k] = cb.Vecs[c]
 		}
-		ob := schema.ColBatch{Rel: d.orel, Vecs: d.vecs, N: cb.N, Sel: d.keep}
-		return ob.Rows(), nil
+		return &schema.ColBatch{Rel: d.orel, Vecs: vecs, N: cb.N, Sel: keep}, nil
 	}
 }
 

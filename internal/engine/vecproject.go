@@ -14,8 +14,8 @@ import (
 // compiled into a tree of vector operators that run over unboxed payload
 // slices, so x + y over a 256-row batch is one tight float64 loop instead of
 // 256 evalExpr walks boxing six-field Values at every node. Pass-through
-// columns keep using ColVec.fill, and only the final output rows pivot to
-// row form.
+// columns forward the scan's vectors, expression columns become fresh
+// vectors, and only a row consumer pivots the output batch.
 //
 // The compiler is deliberately narrow: plain column references of static
 // numeric type, numeric literals, NULL, unary minus/plus and the arithmetic
@@ -375,6 +375,74 @@ func compilePExpr(e sqlparser.Expr, lb *binding, lrel *schema.Relation, refs *[]
 	return nil, 0, false
 }
 
+// vector materializes the column as an emitted vector of physical length
+// n aligned with the batch: candidate k lands at position sel[k] (k itself
+// when sel is nil). The vector is typed t, the column's declared type. A
+// result whose runtime type differs from t goes through Append, which
+// boxes, so the vector round-trips exactly what the row path computes.
+// A typed vector reuses reuse's payload and null mask when they are large
+// enough (a lent batch's previous vector; the zero ColVec otherwise).
+func (p *pcol) vector(reuse schema.ColVec, t schema.Type, n int, sel []int) schema.ColVec {
+	m := n
+	if sel != nil {
+		m = len(sel)
+	}
+	pos := func(k int) int {
+		if sel == nil {
+			return k
+		}
+		return sel[k]
+	}
+	if !p.allNull && ((p.isFloat && t == schema.TypeFloat) || (!p.isFloat && t == schema.TypeInt)) {
+		v := schema.ColVec{Typ: t}
+		if p.isFloat {
+			v.Floats = grow(reuse.Floats, n)
+		} else {
+			v.Ints = grow(reuse.Ints, n)
+		}
+		for k := 0; k < m; k++ {
+			switch i := pos(k); {
+			case p.nullAt(k):
+				if v.Nulls == nil {
+					v.Nulls = grow(reuse.Nulls, n)
+					clear(v.Nulls)
+				}
+				v.Nulls[i] = true
+			case p.isFloat:
+				v.Floats[i] = p.floatAt(k)
+			default:
+				v.Ints[i] = p.intAt(k)
+			}
+		}
+		return v
+	}
+	vals := make([]schema.Value, n)
+	for k := 0; k < m; k++ {
+		switch i := pos(k); {
+		case p.nullAt(k):
+		case p.isFloat:
+			vals[i] = schema.Float(p.floatAt(k))
+		default:
+			vals[i] = schema.Int(p.intAt(k))
+		}
+	}
+	v := schema.NewColVec(t)
+	for _, x := range vals {
+		v.Append(x)
+	}
+	return v
+}
+
+// grow is buf resliced to n when its capacity allows, else a new slice.
+// Positions outside the batch's selection are never read, so a reused
+// payload needs no clearing.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
 // projItem is one output column of the vectorized projection: a pass-through
 // of a loaded column, or a compiled expression node.
 type projItem struct {
@@ -382,9 +450,14 @@ type projItem struct {
 	node pnode
 }
 
-// openVecProject compiles a plain single-table SELECT whose expression items
-// are all vectorizable. Declines when every item is a pass-through (the scan
-// paths already handle pure column projection).
+// openVecProject compiles a plain single-table SELECT whose expression
+// items are all vectorizable; pass-through items (plain columns) cost
+// nothing, so a plain scan compiles here too. It declines a scan with
+// nothing to compute whose filter has no kernel, over a source that also
+// scans rows: the row scan evaluates such a filter on the storage row
+// view without building batches (BenchmarkScanResidualFilter runs about
+// a fifth slower columnar). A columnar-only source, such as a fragment
+// stage's output, keeps this path.
 func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, bool, error) {
 	p, rel, ok := e.vecBlockScan(s, blk)
 	if !ok {
@@ -397,9 +470,11 @@ func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan
 	items := make([]projItem, len(proj.cols))
 	var refs []int
 	exprs := 0
+	passAll := len(proj.cols) == p.m
 	for i, c := range proj.cols {
 		if c.starIdx >= 0 {
 			items[i] = projItem{pass: c.starIdx}
+			passAll = passAll && c.starIdx == i
 			continue
 		}
 		node, _, ok := compilePExpr(c.expr, p.lb, p.lrel, &refs)
@@ -408,16 +483,21 @@ func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan
 		}
 		items[i] = projItem{pass: -1, node: node}
 		exprs++
+		passAll = false
 	}
-	if exprs == 0 {
+	if _, rowScans := e.src.(BatchSource); rowScans && exprs == 0 && len(p.kernels) == 0 && p.residual != nil {
 		return nil, nil, false, nil
 	}
 
-	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
+	sc := p.colScan(rel.Arity())
+	if blk.Limit != nil && len(p.kernels) == 0 && p.residual == nil {
+		sc.BatchSize = limitBatch(blk.Limit.N, sc.BatchSize)
+	}
+	ci, err := cs.OpenColScan(ctx, s.Table, sc)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	var out schema.RowIterator = &vecProjIter{
+	v := &vecProjIter{
 		src:     ci,
 		ex:      newVecExec(p),
 		proj:    proj,
@@ -426,20 +506,16 @@ func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan
 		results: make([]*pcol, len(items)),
 		refs:    refs,
 		orel:    proj.rel,
+		passAll: passAll,
 	}
-	if blk.Limit != nil {
-		n := int(blk.Limit.N)
-		if n < 0 {
-			n = 0
-		}
-		out = &limitIter{src: out, remaining: n}
-	}
-	return proj.rel, schema.WithContext(ctx, out), true, nil
+	return proj.rel, newVecHead(ctx, v, blk), true, nil
 }
 
-// vecProjIter filters each batch with the compiled kernels, evaluates the
-// projection item by item over the surviving candidates, and pivots only the
-// final output rows.
+// vecProjIter filters each batch with the compiled kernels and evaluates
+// the projection item by item over the surviving candidates. NextBatch
+// emits the pass-through columns as the scan's vectors and the expression
+// columns as fresh vectors aligned with the batch, so the output keeps the
+// scan's selection.
 type vecProjIter struct {
 	src     schema.ColIterator
 	ex      *vecExec
@@ -449,20 +525,30 @@ type vecProjIter struct {
 	results []*pcol
 	refs    []int
 	orel    *schema.Relation
+	// passAll marks the identity projection of the loaded output columns,
+	// which forwards the scan's row view when the load is full width.
+	passAll bool
+	// lent makes NextBatch lend its output (see lender): the batch, its
+	// expression vectors and its selection are reused by the next pull.
+	lent bool
+	out  schema.ColBatch // the lent batch
 }
 
-func (v *vecProjIter) Next() (schema.Rows, error) {
+func (v *vecProjIter) lend() { v.lent = true }
+
+// step pulls batches until one has live rows, filters it and evaluates the
+// expression items into v.results (valid until the next step). When a
+// boxed vector defeats the static types, the survivors are projected
+// row-at-a-time instead and returned as rows. cb is nil at exhaustion.
+func (v *vecProjIter) step() (cb *schema.ColBatch, sel []int, rows schema.Rows, err error) {
 	for {
 		cb, err := v.src.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if cb == nil {
-			return nil, nil
+		if err != nil || cb == nil {
+			return nil, nil, nil, err
 		}
 		sel, err := v.ex.filterSel(cb)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		n := cb.N
 		if sel != nil {
@@ -471,21 +557,11 @@ func (v *vecProjIter) Next() (schema.Rows, error) {
 		if n == 0 {
 			continue
 		}
-		boxed := false
 		for _, c := range v.refs {
 			if cb.Vecs[c].Boxed() {
-				boxed = true
-				break
+				rows, err := v.rowFallback(cb, sel)
+				return cb, sel, rows, err
 			}
-		}
-		if boxed {
-			// Heterogeneous column: static types don't hold, pivot the
-			// survivors and project row-at-a-time.
-			rows, err := v.rowFallback(cb, sel)
-			if err != nil {
-				return nil, err
-			}
-			return rows, nil
 		}
 
 		var pend error
@@ -504,40 +580,59 @@ func (v *vecProjIter) Next() (schema.Rows, error) {
 			v.results[ci] = pc
 		}
 		if pend != nil {
-			return nil, pend
+			return nil, nil, nil, pend
 		}
-
-		w := len(v.items)
-		vals := make([]schema.Value, n*w)
-		out := make(schema.Rows, n)
-		for i := range out {
-			out[i] = schema.Row(vals[i*w : (i+1)*w : (i+1)*w])
-		}
-		for ci, it := range v.items {
-			if it.pass >= 0 {
-				cb.Vecs[it.pass].Fill(vals[ci:], w, cb.N, sel)
-				continue
-			}
-			pc := v.results[ci]
-			if pc.allNull {
-				continue // zero Values are NULL already
-			}
-			if pc.isFloat {
-				for k := 0; k < n; k++ {
-					if !pc.nullAt(k) {
-						vals[k*w+ci] = schema.Float(pc.floatAt(k))
-					}
-				}
-			} else {
-				for k := 0; k < n; k++ {
-					if !pc.nullAt(k) {
-						vals[k*w+ci] = schema.Int(pc.intAt(k))
-					}
-				}
-			}
-		}
-		return out, nil
+		return cb, sel, nil, nil
 	}
+}
+
+// ownSel turns a filter result over cb into the Sel of an emitted batch:
+// nil when every physical row survived, cb's own Sel when the filter
+// dropped nothing, otherwise a copy of the executor's scratch selection.
+func ownSel(cb *schema.ColBatch, sel []int) []int {
+	switch {
+	case sel == nil || len(sel) == cb.N:
+		return nil
+	case cb.Sel != nil && len(sel) == len(cb.Sel):
+		return cb.Sel
+	default:
+		return append([]int(nil), sel...)
+	}
+}
+
+func (v *vecProjIter) NextBatch() (*schema.ColBatch, error) {
+	cb, sel, rows, err := v.step()
+	if err != nil || cb == nil {
+		return nil, err
+	}
+	if rows != nil {
+		return schema.BatchFromRows(v.orel, rows), nil
+	}
+	var out *schema.ColBatch
+	if v.lent {
+		if v.out.Vecs == nil {
+			v.out = schema.ColBatch{Rel: v.orel, Vecs: make([]schema.ColVec, len(v.items))}
+		}
+		out = &v.out
+		out.N, out.Sel, out.View = cb.N, sel, nil
+	} else {
+		out = &schema.ColBatch{Rel: v.orel, Vecs: make([]schema.ColVec, len(v.items)), N: cb.N, Sel: ownSel(cb, sel)}
+	}
+	for ci, it := range v.items {
+		if it.pass >= 0 {
+			out.Vecs[ci] = cb.Vecs[it.pass]
+			continue
+		}
+		var reuse schema.ColVec
+		if v.lent {
+			reuse = out.Vecs[ci]
+		}
+		out.Vecs[ci] = v.results[ci].vector(reuse, v.orel.Columns[ci].Type, cb.N, sel)
+	}
+	if v.passAll && len(v.items) == len(cb.Vecs) {
+		out.View = cb.View
+	}
+	return out, nil
 }
 
 func (v *vecProjIter) rowFallback(cb *schema.ColBatch, sel []int) (schema.Rows, error) {

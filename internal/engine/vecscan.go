@@ -10,8 +10,9 @@ import (
 // ColScanner is the optional source capability behind vectorized scans: a
 // source that can serve column batches (and columnar morsels) directly, so
 // filter kernels run over typed vectors and rejected rows are never pivoted
-// to row form. storage.Store implements it; fragment, stream and network
-// sources do not, and those scans silently stay on the row path.
+// to row form. storage.Store implements it, and so does a fragment stage's
+// output (the stage hand-off). Stream and network fan-in sources do not;
+// their scans stay on the row path.
 type ColScanner interface {
 	// OpenColScan opens a serial columnar scan over the named relation with
 	// the given projection, structured pruning predicate and batch size.
@@ -147,6 +148,9 @@ type vecExec struct {
 
 func newVecExec(p *vecScanPlan) *vecExec {
 	x := &vecExec{p: p, env: (&rowEnv{b: p.lb}).reuse()}
+	if len(p.kernels) == 0 && p.residual == nil {
+		return x // filterSel passes batches through: no scratch
+	}
 	// The scratch selections start non-nil: a computed selection that ends
 	// up empty must stay distinguishable from ColBatch's nil-means-all-rows.
 	x.a.sel = make([]int, 0, schema.DefaultBatchSize)
@@ -194,7 +198,7 @@ func (x *vecExec) filterSel(cb *schema.ColBatch) ([]int, error) {
 	}
 
 	if p.residual != nil {
-		tmp := schema.ColBatch{Rel: p.lrel, Vecs: cb.Vecs, N: cb.N, Sel: in.sel}
+		tmp := schema.ColBatch{Rel: p.lrel, Vecs: cb.Vecs, N: cb.N, Sel: in.sel, View: cb.View}
 		rows := tmp.Rows()
 		sel := out.sel[:0]
 		for k, i := range in.sel {

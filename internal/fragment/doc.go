@@ -17,10 +17,17 @@
 // this package only decides placement levels and conjunct partitioning).
 //
 // Execution side (execute.go): OpenChain wires a plan's fragments into one
-// lazy batch pipeline — each stage's output iterator feeds the next
-// stage's scan — with per-stage row/byte accounting that is finalized by
+// lazy batch pipeline. Stages hand off column batches (schema.ColIterator):
+// each stage's output is served to the next stage as an engine.ColScanner
+// source that answers for that one relation and nothing else (the
+// fragmenter keeps every join inside one stage), so stages above the first
+// run the engine's filter kernels and vectorized operators over the
+// upstream vectors, and no stage boundary pivots to rows. Per-stage row/byte accounting counts each batch with
+// ColBatch.Len and the per-vector ColBatch.WireSize and is finalized by
 // draining on Close, so stats match the fully materialized baseline even
-// when the consumer stops early. WithParallelism lets each stage's engine
-// pipeline run morsel-parallel; batch sums are order-independent, so the
-// accounting stays bit-identical to serial execution.
+// when the consumer stops early. Rows are built only by the chain's
+// consumers: Execute (materialize.go) and network.Stream. WithParallelism
+// lets each stage's engine pipeline run morsel-parallel; batch sums are
+// order-independent, so the accounting stays bit-identical to serial
+// execution.
 package fragment

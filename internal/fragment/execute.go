@@ -17,22 +17,6 @@ type StageResult struct {
 	Bytes    int
 }
 
-// Execution is the outcome of running a whole plan.
-type Execution struct {
-	Result *engine.Result
-	Stages []StageResult
-}
-
-// BytesShipped sums the bytes crossing node boundaries (every stage output
-// travels one hop up the ladder).
-func (e *Execution) BytesShipped() int {
-	total := 0
-	for _, s := range e.Stages {
-		total += s.Bytes
-	}
-	return total
-}
-
 // stageErr marks an error already attributed to a fragment stage so outer
 // stages do not re-wrap it as it propagates up the iterator chain.
 type stageErr struct{ err error }
@@ -50,12 +34,15 @@ func wrapStage(f *Fragment, err error) error {
 
 // stageIter wraps one fragment's output pipeline: it counts rows and wire
 // bytes per batch for the stage accounting, and attributes errors to its
-// stage. Close drains the remainder first — the producing node ships its
-// whole output up the chain regardless of how much the consumer reads, so
-// per-stage stats match the fully materialized baseline exactly even when a
-// later stage stops early (LIMIT).
+// stage. The output stays columnar (the stage hand-off contract), so a
+// batch is counted with ColBatch.Len and ColBatch.WireSize, summed per
+// vector — byte-identical to the row sum. Close drains the remainder
+// first — the producing node ships its whole output up the chain
+// regardless of how much the consumer reads, so per-stage stats match the
+// fully materialized baseline exactly even when a later stage stops early
+// (LIMIT).
 type stageIter struct {
-	src    schema.RowIterator
+	src    schema.ColIterator
 	f      *Fragment
 	rows   int
 	bytes  int
@@ -63,14 +50,20 @@ type stageIter struct {
 	err    error // runtime error surfaced while draining on Close
 }
 
-func (s *stageIter) Next() (schema.Rows, error) {
-	batch, err := s.src.Next()
+func (s *stageIter) NextBatch() (*schema.ColBatch, error) {
+	cb, err := s.src.NextBatch()
 	if err != nil {
 		return nil, wrapStage(s.f, err)
 	}
-	s.rows += len(batch)
-	s.bytes += batch.WireSize()
-	return batch, nil
+	s.count(cb)
+	return cb, nil
+}
+
+func (s *stageIter) count(cb *schema.ColBatch) {
+	if cb != nil {
+		s.rows += cb.Len()
+		s.bytes += cb.WireSize()
+	}
 }
 
 func (s *stageIter) Close() {
@@ -79,77 +72,95 @@ func (s *stageIter) Close() {
 	}
 	s.closed = true
 	for {
-		batch, err := s.src.Next()
+		cb, err := s.src.NextBatch()
 		if err != nil {
 			// The baseline would have evaluated this row and failed the
 			// whole execution: record the error for Execute to surface.
 			s.err = wrapStage(s.f, err)
 			break
 		}
-		if batch == nil {
+		if cb == nil {
 			break
 		}
-		s.rows += len(batch)
-		s.bytes += batch.WireSize()
+		s.count(cb)
 	}
 	s.src.Close()
 }
 
-// stageSource exposes the previous stage's output iterator under its
-// relation name, falling back to the base source for any base relation a
-// join references. The stage output is one-shot: fragment plans read each
-// intermediate exactly once.
+// stageSource serves the previous stage's output under its relation name
+// as a columnar source (engine.ColScanner), so the next stage runs the
+// filter kernels and vectorized operators straight over the upstream
+// batches. It serves nothing else: the fragmenter keeps every join inside
+// one stage, so a stage above the first reads only its upstream output.
+// The stage output is one-shot: fragment plans read each intermediate
+// exactly once.
 type stageSource struct {
-	base     engine.Source
 	name     string
 	rel      *schema.Relation
 	it       *stageIter
 	consumed bool
 }
 
-func (s *stageSource) take() (*stageIter, error) {
+// unknown is the error for any relation other than the stage output.
+func (s *stageSource) unknown(name string) error {
+	return fmt.Errorf("%w: a stage above the first reads only stage output %q, not %q", ErrFragment, s.name, name)
+}
+
+func (s *stageSource) RelationSchema(name string) (*schema.Relation, error) {
+	if name != s.name {
+		return nil, s.unknown(name)
+	}
+	return s.rel, nil
+}
+
+// OpenColScan serves the stage output with the requested projection; the
+// pruning predicate is a hint the consumer's kernels re-check, so it is
+// not applied here.
+func (s *stageSource) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	if name != s.name {
+		return nil, s.unknown(name)
+	}
 	if s.consumed {
 		return nil, fmt.Errorf("%w: stage output %q read twice", ErrFragment, s.name)
 	}
 	s.consumed = true
-	return s.it, nil
+	if sc.Columns == nil {
+		return s.it, nil
+	}
+	return &stageCols{src: s.it, rel: s.rel.Project(sc.Columns), cols: sc.Columns}, nil
 }
 
-func (s *stageSource) RelationSchema(name string) (*schema.Relation, error) {
-	if name == s.name {
-		return s.rel, nil
+// OpenColMorsels shares the stage output among the consumer's workers:
+// pulls (and so the upstream stage and its accounting) run one at a time.
+func (s *stageSource) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	it, err := s.OpenColScan(ctx, name, sc)
+	if err != nil {
+		return nil, err
 	}
-	return engine.RelationSchema(s.base, name)
+	return schema.ShareColIterator(it), nil
 }
 
-func (s *stageSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	if name == s.name {
-		it, err := s.take()
-		if err != nil {
-			return nil, err
-		}
-		return schema.FilterProject(it, sc), nil
-	}
-	return engine.OpenScan(ctx, s.base, name, sc)
+// stageCols projects stage batches by picking vectors: no values move,
+// and the selection carries over.
+type stageCols struct {
+	src  schema.ColIterator
+	rel  *schema.Relation
+	cols []int
 }
 
-// Relation is the materialized fallback of the engine's Source interface;
-// the engine only takes this path for sources without batch scans, but the
-// interface contract requires it.
-func (s *stageSource) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	if name == s.name {
-		it, err := s.take()
-		if err != nil {
-			return nil, nil, err
-		}
-		rows, err := schema.DrainIterator(it)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s.rel, rows, nil
+func (p *stageCols) NextBatch() (*schema.ColBatch, error) {
+	cb, err := p.src.NextBatch()
+	if err != nil || cb == nil {
+		return nil, err
 	}
-	return s.base.Relation(name)
+	vecs := make([]schema.ColVec, len(p.cols))
+	for k, c := range p.cols {
+		vecs[k] = cb.Vecs[c]
+	}
+	return &schema.ColBatch{Rel: p.rel, Vecs: vecs, N: cb.N, Sel: cb.Sel}, nil
 }
+
+func (p *stageCols) Close() { p.src.Close() }
 
 // Option configures how a fragment plan executes.
 type Option func(*execConfig)
@@ -158,23 +169,25 @@ type execConfig struct{ par int }
 
 // WithParallelism sets the number of worker goroutines each stage's engine
 // pipeline may use (morsel-driven, see the engine package): n <= 0 means
-// runtime.GOMAXPROCS(0), 1 (the default) keeps execution serial. Stage
-// outputs feed the next stage's workers through a shared morsel cursor, so
-// the per-stage row/byte accounting accrues under that cursor's lock —
-// batch sums are order-independent, making a parallel chain's accounting
-// bit-identical to the serial chain's.
+// runtime.GOMAXPROCS(0), 1 (the default) keeps execution serial. A stage
+// whose block runs on the morsel path reads its input through a shared
+// columnar morsel cursor, so the upstream accounting accrues under that
+// cursor's lock — batch sums are order-independent, making a parallel
+// chain's accounting bit-identical to the serial chain's.
 func WithParallelism(n int) Option {
 	return func(c *execConfig) { c.par = n }
 }
 
 // Chain is an opened fragment plan: the stages wired into one lazy batch
-// pipeline whose final iterator the caller pulls. Each fragment's iterator
-// feeds the next stage's scan, so no intermediate relation is materialized
-// in full (memory is bounded by batch size plus any pipeline breakers
-// inside a stage). Per-stage row/byte accounting accrues as batches flow
-// and is finalized by Close, which drains every stage — the accounting of a
-// fully drained chain matches the materialized baseline exactly even when
-// the consumer stopped early (LIMIT, cursor Close).
+// pipeline whose final iterator the caller pulls. Stages hand off column
+// batches (schema.ColIterator): each fragment's output feeds the next
+// stage's columnar scan unpivoted, so no intermediate relation is
+// materialized in full (memory is bounded by batch size plus any pipeline
+// breakers inside a stage) and no stage boundary builds rows. Per-stage
+// row/byte accounting accrues as batches flow and is finalized by Close,
+// which drains every stage — the accounting of a fully drained chain
+// matches the materialized baseline exactly even when the consumer stopped
+// early (LIMIT, cursor Close).
 type Chain struct {
 	rel    *schema.Relation
 	stages []*stageIter
@@ -197,7 +210,7 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 	stages := make([]*stageIter, 0, len(plan.Fragments))
 	var rel *schema.Relation
 	for _, f := range plan.Fragments {
-		stageRel, it, err := engine.New(src).WithParallelism(cfg.par).Open(ctx, f.Root)
+		stageRel, it, err := engine.New(src).WithParallelism(cfg.par).OpenBatches(ctx, f.Root)
 		if err != nil {
 			// Abandon the chain. Open's own cleanup may already have
 			// closed (and thereby drained) upstream stages; the stats are
@@ -210,7 +223,7 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 		rel = stageRel.Clone(f.Output)
 		st := &stageIter{src: it, f: f}
 		stages = append(stages, st)
-		src = &stageSource{base: base, name: f.Output, rel: rel, it: st}
+		src = &stageSource{name: f.Output, rel: rel, it: st}
 	}
 	return &Chain{rel: rel, stages: stages}, nil
 }
@@ -218,10 +231,10 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 // Schema is the output relation of the final fragment.
 func (c *Chain) Schema() *schema.Relation { return c.rel }
 
-// Iterator is the final stage's batch iterator. Closing it closes (and
-// drains) the whole chain; prefer Chain.Close, which also surfaces drain
-// errors.
-func (c *Chain) Iterator() schema.RowIterator { return c.stages[len(c.stages)-1] }
+// Iterator is the final stage's batch iterator; consumers that need rows
+// pivot its batches. Closing it closes (and drains) the whole chain; prefer
+// Chain.Close, which also surfaces drain errors.
+func (c *Chain) Iterator() schema.ColIterator { return c.stages[len(c.stages)-1] }
 
 // Close drain-closes the whole chain so every stage's accounting is final
 // even if the consumer stopped pulling early, and reports any error the
@@ -251,30 +264,4 @@ func (c *Chain) Stages() []StageResult {
 		out[i] = StageResult{Fragment: st.f, Rows: st.rows, Bytes: st.bytes}
 	}
 	return out
-}
-
-// Execute runs the plan bottom-up against the base source as one chained
-// batch pipeline (see OpenChain). The final result is materialized for the
-// caller, and per-stage row/byte accounting is collected from the streamed
-// batches. Execution is semantically equivalent to evaluating the original
-// query directly (the property tests in this package assert exactly that).
-func Execute(ctx context.Context, plan *Plan, base engine.Source, opts ...Option) (*Execution, error) {
-	chain, err := OpenChain(ctx, plan, base, opts...)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := schema.DrainIterator(chain.Iterator())
-	if err != nil {
-		chain.Close()
-		return nil, err
-	}
-	// Fail if the drain-close hit a row the materialized baseline would
-	// have choked on.
-	if err := chain.Close(); err != nil {
-		return nil, err
-	}
-	return &Execution{
-		Result: &engine.Result{Schema: chain.Schema(), Rows: rows},
-		Stages: chain.Stages(),
-	}, nil
 }

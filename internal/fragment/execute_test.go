@@ -3,6 +3,7 @@ package fragment
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestChainCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chain.Iterator().Next(); err != nil {
+	if _, err := chain.Iterator().NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	if err := chain.Close(); err != nil {
@@ -185,5 +186,123 @@ func TestChainCancelledContext(t *testing.T) {
 	cancel()
 	if err := chain.Close(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Close after cancel = %v, want context.Canceled", err)
+	}
+}
+
+// TestColumnarHandOffMatchesRowBaseline runs chains whose stages above the
+// first take the vectorized operators — kernels, expression projection,
+// DISTINCT, GROUP BY, LIMIT — or the morsel path (sorts, windows) over a
+// stage output carrying NULLs, strings and selections, serially and with
+// four workers. Rows (in order) must
+// equal the row engine over a materializing source, and the per-stage
+// accounting must equal the materialized baseline's.
+func TestColumnarHandOffMatchesRowBaseline(t *testing.T) {
+	st := storage.NewStore()
+	d := st.Create(schema.NewRelation("d",
+		schema.Col("x", schema.TypeFloat),
+		schema.Col("y", schema.TypeFloat),
+		schema.Col("z", schema.TypeFloat),
+		schema.Col("t", schema.TypeInt),
+		schema.Col("label", schema.TypeString),
+	))
+	for i := 0; i < 700; i++ {
+		row := schema.Row{
+			schema.Float(float64(i % 11)), schema.Float(float64(i % 7)),
+			schema.Float(float64(i%23) / 10), schema.Int(int64(i)),
+			schema.String([]string{"", "ä", "kitchen", "日本"}[i%4]),
+		}
+		for c := range row {
+			if (i+c)%13 == 0 {
+				row[c] = schema.Null()
+			}
+		}
+		if err := d.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rowOnly := sourceFunc(st.Relation)
+	queries := []string{
+		"SELECT x + y AS s, z * 2 AS z2 FROM d WHERE x > y AND z < 2",
+		"SELECT t / 2 AS h, t % 3 AS m, -x AS nx, label FROM d WHERE x > y",
+		"SELECT DISTINCT x, label FROM d WHERE x > y",
+		"SELECT x, y, label FROM d WHERE x > y AND z < 2 LIMIT 7",
+		"SELECT x, AVG(z) AS za, COUNT(*) AS n FROM d WHERE x > y GROUP BY x",
+		"SELECT label, x FROM d WHERE x > y AND t > 100",
+		// An OR compiles to no kernel: the filter is residual only.
+		"SELECT x, y, label FROM d WHERE x > y OR z < 0.5",
+		// Sorts and windows take the morsel path above stage 1: the stage
+		// output is shared among the workers through a columnar cursor.
+		"SELECT x + y AS s, t FROM d WHERE x > y ORDER BY s, t",
+		"SELECT SUM(z) OVER (PARTITION BY x ORDER BY t) AS w FROM d WHERE x > y",
+	}
+	for _, q := range queries {
+		plan := mustFragment(t, q)
+		if len(plan.Fragments) < 2 {
+			t.Fatalf("%s: want a multi-stage plan, got %d stage(s)", q, len(plan.Fragments))
+		}
+		want, err := engine.New(rowOnly).Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages := materializedBaseline(t, plan, rowOnly)
+		// Over a row-only base, stage 1 runs on rows and converts once at
+		// its head; the stages above still run columnar.
+		for _, run := range []struct {
+			base engine.Source
+			par  int
+		}{{st, 1}, {st, 4}, {rowOnly, 1}, {rowOnly, 4}} {
+			par := run.par
+			got, err := Execute(context.Background(), plan, run.base, WithParallelism(par))
+			if err != nil {
+				t.Fatalf("%s (parallelism %d): %v", q, par, err)
+			}
+			if !reflect.DeepEqual(got.Result.Rows, want.Rows) {
+				t.Fatalf("%s (parallelism %d): rows differ from the row engine:\n got %v\nwant %v",
+					q, par, got.Result.Rows, want.Rows)
+			}
+			for i := range stages {
+				if got.Stages[i].Rows != stages[i].Rows || got.Stages[i].Bytes != stages[i].Bytes {
+					t.Fatalf("%s (parallelism %d) stage %d: rows=%d bytes=%d, baseline rows=%d bytes=%d",
+						q, par, i+1, got.Stages[i].Rows, got.Stages[i].Bytes, stages[i].Rows, stages[i].Bytes)
+				}
+			}
+		}
+	}
+}
+
+// TestStageSourceServesOnlyItsOutput pins that a stage source answers for
+// its upstream output alone, once, and only as column batches: any other
+// relation is an error rather than an answer from somewhere else.
+func TestStageSourceServesOnlyItsOutput(t *testing.T) {
+	ctx := context.Background()
+	rel := schema.NewRelation("d1", schema.Col("x", schema.TypeInt))
+	rows := schema.Rows{{schema.Int(1)}, {schema.Int(2)}}
+	s := &stageSource{name: "d1", rel: rel,
+		it: &stageIter{src: schema.RowBatches(rel, schema.IterateRows(rows, 1))}}
+
+	if got, err := s.RelationSchema("d1"); err != nil || got != rel {
+		t.Fatalf("RelationSchema(d1) = %v, %v", got, err)
+	}
+	if _, err := s.RelationSchema("d"); !errors.Is(err, ErrFragment) {
+		t.Fatalf("RelationSchema(d) = %v, want ErrFragment", err)
+	}
+	for _, name := range []string{"d", "d1"} {
+		if _, _, err := s.Relation(name); !errors.Is(err, ErrFragment) {
+			t.Fatalf("Relation(%s) = %v, want ErrFragment", name, err)
+		}
+	}
+	if _, err := s.OpenColScan(ctx, "d", schema.ColScan{}); !errors.Is(err, ErrFragment) {
+		t.Fatalf("OpenColScan(d) = %v, want ErrFragment", err)
+	}
+	ci, err := s.OpenColScan(ctx, "d1", schema.ColScan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := schema.DrainIterator(schema.PivotRows(ci))
+	if err != nil || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("stage output = %v, %v; want %v", got, err, rows)
+	}
+	if _, err := s.OpenColMorsels(ctx, "d1", schema.ColScan{}); !errors.Is(err, ErrFragment) {
+		t.Fatalf("second read = %v, want ErrFragment", err)
 	}
 }

@@ -81,7 +81,7 @@ func TestParallelChainEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chain.Iterator().Next(); err != nil {
+	if _, err := chain.Iterator().NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	if err := chain.Close(); err != nil {

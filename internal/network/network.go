@@ -228,8 +228,9 @@ type Stream struct {
 	topo   *Topology
 	plan   *fragment.Plan
 	chain  *fragment.Chain
-	baseIn int // input rows of the first fragment (base relations)
-	raw    int // wire size of the base relations the plan reads
+	rows   schema.RowIterator // the chain's output, pivoted
+	baseIn int                // input rows of the first fragment (base relations)
+	raw    int                // wire size of the base relations the plan reads
 	stats  *RunStats
 	err    error
 	closed bool
@@ -266,6 +267,7 @@ func Open(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.S
 		topo:   topo,
 		plan:   plan,
 		chain:  chain,
+		rows:   schema.PivotRows(chain.Iterator()),
 		baseIn: baseIn,
 		raw:    raw,
 	}, nil
@@ -274,14 +276,15 @@ func Open(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.S
 // Schema is the output relation of the final fragment.
 func (s *Stream) Schema() *schema.Relation { return s.chain.Schema() }
 
-// Next pulls the next batch of the final fragment's output. A nil batch
-// means the chain is exhausted; the caller should then Close and read
-// Stats.
+// Next pulls the next batch of the final fragment's output, pivoted to
+// rows: the chain hands off column batches, and this is where the rows a
+// cursor or encoder consumes are built. A nil batch means the chain is
+// exhausted; the caller should then Close and read Stats.
 func (s *Stream) Next() (schema.Rows, error) {
 	if s.closed {
 		return nil, s.err
 	}
-	batch, err := s.chain.Iterator().Next()
+	batch, err := s.rows.Next()
 	if err != nil && s.err == nil {
 		s.err = err
 	}

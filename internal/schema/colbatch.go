@@ -456,6 +456,59 @@ func (b *ColBatch) Rows() Rows {
 	return out
 }
 
+// WireSize is the simulated serialized size of the live rows, summed per
+// vector: exactly Rows().WireSize() (the 2-byte row prefix included)
+// without pivoting. A typed numeric or time vector without NULLs costs
+// O(1); strings, NULL masks and boxed vectors walk the live positions.
+func (b *ColBatch) WireSize() int {
+	n := 2 * b.Len()
+	for c := range b.Vecs {
+		n += b.Vecs[c].wireSize(b.N, b.Sel)
+	}
+	return n
+}
+
+// wireSize sums Value.WireSize over the live elements (sel, or the first
+// n physical positions when sel is nil).
+func (v *ColVec) wireSize(n int, sel []int) int {
+	live := n
+	if sel != nil {
+		live = len(sel)
+	}
+	if v.Box == nil && v.Nulls == nil {
+		switch v.Typ {
+		case TypeInt, TypeFloat, TypeTime:
+			return 8 * live
+		case TypeBool:
+			return live
+		case TypeString:
+			total := 2 * live
+			if sel == nil {
+				for _, s := range v.Strs[:n] {
+					total += len(s)
+				}
+			} else {
+				for _, i := range sel {
+					total += len(v.Strs[i])
+				}
+			}
+			return total
+		}
+	}
+	// NULL masks and boxed vectors: the row definition, element by element.
+	total := 0
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			total += v.Value(i).WireSize()
+		}
+	} else {
+		for _, i := range sel {
+			total += v.Value(i).WireSize()
+		}
+	}
+	return total
+}
+
 // RowAt pivots the single physical row i (ignoring Sel) into a fresh Row,
 // or returns the view row when one is attached.
 func (b *ColBatch) RowAt(i int) Row {
@@ -512,3 +565,47 @@ type ColMorselSource interface {
 	NextColMorsel() (ColMorsel, error)
 	Close()
 }
+
+// PivotRows adapts a columnar iterator to the row-iterator surface for
+// consumers that need rows: each pull pivots one batch, and empty batches
+// are skipped so a nil batch still means exhaustion.
+func PivotRows(it ColIterator) RowIterator { return &pivotIter{src: it} }
+
+type pivotIter struct{ src ColIterator }
+
+func (p *pivotIter) Next() (Rows, error) {
+	for {
+		b, err := p.src.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		if b.Len() > 0 {
+			return b.Rows(), nil
+		}
+	}
+}
+
+func (p *pivotIter) Close() { p.src.Close() }
+
+// RowBatches adapts a row iterator to the columnar surface, converting each
+// row batch once (BatchFromRows) with column types declared by rel. It is
+// meant for the head of a pipeline that is row-only all the way through;
+// a columnar pipeline hands its own batches over instead.
+func RowBatches(rel *Relation, it RowIterator) ColIterator {
+	return &rowBatchIter{rel: rel, src: it}
+}
+
+type rowBatchIter struct {
+	rel *Relation
+	src RowIterator
+}
+
+func (r *rowBatchIter) NextBatch() (*ColBatch, error) {
+	rows, err := r.src.Next()
+	if err != nil || rows == nil {
+		return nil, err
+	}
+	return BatchFromRows(r.rel, rows), nil
+}
+
+func (r *rowBatchIter) Close() { r.src.Close() }

@@ -103,6 +103,53 @@ func (s *sharedMorsels) Close() {
 	}
 }
 
+// sharedColMorsels is the columnar twin of sharedMorsels. ColIterator
+// batches stay valid after later pulls, so nothing is copied.
+type sharedColMorsels struct {
+	mu     sync.Mutex
+	src    ColIterator
+	seq    int
+	done   bool
+	closed bool
+}
+
+// ShareColIterator wraps a columnar iterator as a ColMorselSource for
+// concurrent workers, serializing pulls behind a mutex: each pull is one
+// morsel numbered in pull order.
+func ShareColIterator(it ColIterator) ColMorselSource {
+	return &sharedColMorsels{src: it}
+}
+
+func (s *sharedColMorsels) NextColMorsel() (ColMorsel, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done {
+		return ColMorsel{}, nil
+	}
+	b, err := s.src.NextBatch()
+	if err != nil {
+		s.done = true
+		return ColMorsel{Seq: s.seq}, err
+	}
+	if b == nil {
+		s.done = true
+		return ColMorsel{}, nil
+	}
+	m := ColMorsel{Seq: s.seq, Batch: b}
+	s.seq++
+	return m, nil
+}
+
+func (s *sharedColMorsels) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.done = true
+	if !s.closed {
+		s.closed = true
+		s.src.Close()
+	}
+}
+
 // IterateMorsels adapts a shared MorselSource back into the serial
 // iterator interface: each pull claims the next unclaimed morsel. Several
 // such iterators over one source partition it — each morsel is served to

@@ -15,6 +15,15 @@
 # row path with extra steps. Pivoting belongs to the boundary layers
 # (vecscan.go residuals, vecblock.go/vecgroup.go output, the join's
 # post-match gather into output rows), never to the kernels.
+#
+# internal/fragment/execute.go is the stage hand-off: every fragment
+# stage's output reaches the next stage as column batches, and stage
+# accounting counts ColBatch.Len and the per-vector ColBatch.WireSize. A
+# pivot there (ColBatch.Rows, DrainIterator, a row iterator, Rows.WireSize
+# over schema.Rows) would not fail a test — the byte totals are identical —
+# but the hand-off would silently fall back to rows and every stage above
+# the first would lose the vectorized operators again. Rows are built only
+# by the chain's consumers (fragment/materialize.go, network.Stream.Next).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,5 +37,13 @@ for f in internal/engine/veckernel.go internal/engine/vecjoin.go internal/engine
 		status=1
 	fi
 done
+f=internal/fragment/execute.go
+hits=$(grep -n '\.Rows()\|DrainIterator\|PivotRows\|RowIterator\|schema\.Rows\b' "$f" || true)
+if [ -n "$hits" ]; then
+	echo "$f must hand stages off as column batches — no row pivots in stage accounting"
+	echo "(ColBatch.Rows / DrainIterator / row iterators / Rows.WireSize belong to the chain's consumers):"
+	echo "$hits"
+	status=1
+fi
 [ "$status" -eq 0 ] || exit "$status"
-echo "vecguard: ok (kernels are pivot-free)"
+echo "vecguard: ok (kernels and the stage hand-off are pivot-free)"
