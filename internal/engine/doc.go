@@ -18,8 +18,11 @@
 // column batches — the form fragment chains hand from stage to stage
 // without holding whole intermediate relations.
 //
-// Over sources that serve column batches (ColScanner: storage.Store and
-// the fragment package's stage outputs), the hot paths run vectorized:
+// ColScanner is the one scan contract a source implements (storage.Store
+// and the fragment package's stage outputs); a row scan pivots its column
+// batches (OpenScan), and a source without it — an in-memory test
+// oracle — is scanned from its materialized Relation. Over a ColScanner
+// the hot paths run vectorized:
 // filter conjuncts compile into comparison kernels over typed vectors
 // refining a selection vector (vecscan.go, with the non-kernelizable
 // suffix evaluated row-at-a-time on pivoted survivors), plain and numeric
@@ -31,7 +34,8 @@
 // path is an internal fast path pinned bit-identical to the row path —
 // same rows, order, and error text — and declines to the row path whenever
 // exact semantics would be at risk (windows, sorts, boxed vectors,
-// non-numeric expressions). Hashed operators share one key definition,
+// non-numeric expressions), or when a block has no expression item and no
+// filter kernel, where the row scan is cheaper. Hashed operators share one key definition,
 // schema.AppendGroupKey, built alloc-free from rows or vectors alike.
 //
 // With WithParallelism(n), n > 1, the streamable segments of the blocks

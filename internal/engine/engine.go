@@ -14,11 +14,11 @@ import (
 // ErrQuery wraps all semantic evaluation errors.
 var ErrQuery = errors.New("engine: query error")
 
-// Source supplies base relations by name. storage.Store implements it;
-// the network simulator implements it per node. Sources that additionally
-// implement ColScanner are scanned as column batches, those implementing
-// BatchSource as row batches, both with projection and predicate pushdown
-// instead of being materialized.
+// Source supplies base relations by name. storage.Store and a fragment
+// stage's output implement it. A source that also implements ColScanner —
+// the one scan contract — is scanned as column batches with projection and
+// zone-map pruning pushed down; Relation is the materialized fallback for
+// sources that do not, such as in-memory test sources.
 type Source interface {
 	Relation(name string) (*schema.Relation, schema.Rows, error)
 }
@@ -225,7 +225,7 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 	}
 	// Bind the pipeline head to ctx as well: sources are contracted to
 	// check ctx inside their scans, but this guarantees cancellation for
-	// any Source implementation (overlays, fan-in shards, adapters).
+	// any Source implementation.
 	return p.rel, schema.WithContext(ctx, out), nil
 }
 
@@ -307,14 +307,12 @@ func (e *Engine) openPlanScan(ctx context.Context, s *plan.Scan, blk *plan.Block
 		b = bindingFromRelation(rel.Project(cols), qual)
 	}
 
-	// Vectorized path: when the source serves column batches, run the
-	// filter columnar and pivot only the survivors. Without kernels a
-	// source that also scans rows is equivalent on its row path (storage
-	// prunes columns at the pivot), so only a columnar-only source — a
-	// fragment stage's output — takes it then.
+	// Vectorized path: when the filter has kernels, run it columnar and
+	// pivot only the survivors. Without kernels the row scan below is
+	// equivalent and cheaper: it pivots the source's batches (a storage
+	// row-view gather) and filters the rows, over every source.
 	if cs, ok := e.src.(ColScanner); ok {
-		_, rowScans := e.src.(BatchSource)
-		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok && (len(p.kernels) > 0 || !rowScans) {
+		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok && len(p.kernels) > 0 {
 			ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
 			if err != nil {
 				return nil, nil, err

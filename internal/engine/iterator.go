@@ -7,28 +7,15 @@ import (
 	"paradise/internal/sqlparser"
 )
 
-// This file holds the streaming side of the engine: the BatchSource
-// extension of Source, and the volcano-style operators (filter, project,
-// distinct, limit, join probe) that pull row batches through the pipeline
-// built by Engine.Open. Sort, grouping and window evaluation are pipeline
-// breakers and stay in their materialized form (sort.go, group.go,
-// window.go).
+// This file holds the streaming side of the engine: the row scan over any
+// Source, and the volcano-style operators (filter, project, distinct,
+// limit, join probe) that pull row batches through the pipeline built by
+// Engine.Open. Sort, grouping and window evaluation are pipeline breakers
+// and stay in their materialized form (sort.go, group.go, window.go).
 
-// BatchSource is an optional extension of Source: relations can be opened
-// as pulled batch scans with projection and predicate pushdown, and schemas
-// inspected without materializing rows. storage.Store implements it, and so
-// does the network simulator's fan-in overlay.
-type BatchSource interface {
-	Source
-	schemaSource
-	// OpenScan opens a batch scan bound to ctx. The scan's Filter sees
-	// full-width rows; Columns projects after filtering. Implementations
-	// must check ctx per batch so cancellation stops the scan promptly.
-	OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error)
-}
-
-// schemaSource is the capability to describe a relation without touching
-// its rows, shared by BatchSource and the columnar fragment-stage source.
+// schemaSource is the optional capability to describe a relation without
+// touching its rows. storage.Store and the fragment-stage source implement
+// it.
 type schemaSource interface {
 	RelationSchema(name string) (*schema.Relation, error)
 }
@@ -43,15 +30,19 @@ func RelationSchema(src Source, name string) (*schema.Relation, error) {
 	return rel, err
 }
 
-// OpenScan opens a streaming row scan over any Source: a BatchSource scans
-// itself, a source that only serves column batches is pivoted, and a source
-// that only materializes is scanned in memory, bound to ctx.
+// OpenScan opens a streaming row scan over any Source, bound to ctx. A
+// ColScanner's column batches are pivoted (over storage a full-width batch
+// carries the row view, so the pivot gathers references) and then filtered
+// and projected; a scan without a filter pushes its projection into the
+// column scan, so pruned columns are never pivoted. A source that only
+// materializes is scanned in memory.
 func OpenScan(ctx context.Context, src Source, name string, sc schema.Scan) (schema.RowIterator, error) {
-	if bs, ok := src.(BatchSource); ok {
-		return bs.OpenScan(ctx, name, sc)
-	}
 	if cs, ok := src.(ColScanner); ok {
-		ci, err := cs.OpenColScan(ctx, name, schema.ColScan{Predicate: sc.Predicate, BatchSize: sc.BatchSize})
+		cols := schema.ColScan{Predicate: sc.Predicate, BatchSize: sc.BatchSize}
+		if sc.Filter == nil {
+			cols.Columns, sc.Columns = sc.Columns, nil
+		}
+		ci, err := cs.OpenColScan(ctx, name, cols)
 		if err != nil {
 			return nil, err
 		}

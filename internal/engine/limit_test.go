@@ -10,8 +10,9 @@ import (
 	"paradise/internal/storage"
 )
 
-// countingSource wraps a store and counts the rows its scans actually hand
-// to the engine, so tests can assert how much a query pulled from storage.
+// countingSource wraps a store and counts the rows its columnar scans
+// actually hand to the engine, so tests can assert how much a query pulled
+// from storage.
 type countingSource struct {
 	st      *storage.Store
 	scanned int
@@ -25,26 +26,73 @@ func (c *countingSource) RelationSchema(name string) (*schema.Relation, error) {
 	return c.st.RelationSchema(name)
 }
 
-func (c *countingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := c.st.OpenScan(ctx, name, sc)
+func (c *countingSource) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	return tapScan(ctx, c.st, name, sc, c.count)
+}
+
+func (c *countingSource) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	return tapMorsels(ctx, c.st, name, sc, c.count)
+}
+
+func (c *countingSource) count(cb *schema.ColBatch) error {
+	c.scanned += cb.Len()
+	return nil
+}
+
+// batchTap sees every batch a store's scan hands out, before the engine
+// does; an error replaces the batch. Over morsels it runs on the claiming
+// worker's goroutine.
+type batchTap func(*schema.ColBatch) error
+
+// tapScan opens a store's serial columnar scan through tap.
+func tapScan(ctx context.Context, st *storage.Store, name string, sc schema.ColScan, tap batchTap) (schema.ColIterator, error) {
+	it, err := st.OpenColScan(ctx, name, sc)
 	if err != nil {
 		return nil, err
 	}
-	return &countingIter{src: it, n: &c.scanned}, nil
+	return &tappedIter{ColIterator: it, tap: tap}, nil
 }
 
-type countingIter struct {
-	src schema.RowIterator
-	n   *int
+// tapMorsels opens a store's columnar morsel source through tap.
+func tapMorsels(ctx context.Context, st *storage.Store, name string, sc schema.ColScan, tap batchTap) (schema.ColMorselSource, error) {
+	ms, err := st.OpenColMorsels(ctx, name, sc)
+	if err != nil {
+		return nil, err
+	}
+	return &tappedMorsels{ColMorselSource: ms, tap: tap}, nil
 }
 
-func (c *countingIter) Next() (schema.Rows, error) {
-	b, err := c.src.Next()
-	*c.n += len(b)
-	return b, err
+type tappedIter struct {
+	schema.ColIterator
+	tap batchTap
 }
 
-func (c *countingIter) Close() { c.src.Close() }
+func (t *tappedIter) NextBatch() (*schema.ColBatch, error) {
+	cb, err := t.ColIterator.NextBatch()
+	if err != nil || cb == nil {
+		return nil, err
+	}
+	if err := t.tap(cb); err != nil {
+		return nil, err
+	}
+	return cb, nil
+}
+
+type tappedMorsels struct {
+	schema.ColMorselSource
+	tap batchTap
+}
+
+func (t *tappedMorsels) NextColMorsel() (schema.ColMorsel, error) {
+	m, err := t.ColMorselSource.NextColMorsel()
+	if err != nil || m.Batch == nil {
+		return m, err
+	}
+	if err := t.tap(m.Batch); err != nil {
+		return schema.ColMorsel{Seq: m.Seq}, err
+	}
+	return m, nil
+}
 
 // TestLimitStopsScanEarly is the headline streaming property: a LIMIT-n
 // query over a large base relation pulls only O(n + batch) rows from

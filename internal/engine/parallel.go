@@ -41,14 +41,6 @@ import (
 //   - The per-morsel source pull (one short critical section per batch)
 //     and the exchange's in-order re-emission.
 
-// MorselScanner is an optional extension of BatchSource: relations can be
-// opened as shared morsel sources feeding any number of concurrent
-// workers. storage.Store implements it with locked subslice hand-offs;
-// sources without it are adapted through schema.ShareIterator.
-type MorselScanner interface {
-	OpenMorsels(ctx context.Context, name string, batchSize int) (schema.MorselSource, error)
-}
-
 // batchFn transforms one morsel's rows inside a worker. It must not mutate
 // the input batch (which may alias storage memory); it returns either the
 // input untouched or a freshly allocated batch (see the ownership rules in
@@ -71,8 +63,9 @@ type keyFn func(in schema.Rows) (schema.Rows, []string, error)
 type keyFactory func() keyFn
 
 // parSeg is a compiled streamable segment: where the morsels come from and
-// what each worker does to them. Exactly one of ms (storage fast path) and
-// it (any other source, shared via schema.ShareIterator) is set.
+// what each worker does to them. Exactly one of ms (a columnar morsel
+// source's claims, filtered and pivoted per worker) and it (any other
+// input, shared via schema.ShareIterator) is set.
 type parSeg struct {
 	b  *binding
 	ms schema.MorselSource
@@ -859,35 +852,30 @@ func (e *Engine) openParScan(ctx context.Context, s *plan.Scan, blk *plan.Block)
 
 	seg := &parSeg{b: b}
 
-	// Vectorized path: a columnar morsel source runs the filter kernels and
-	// the survivor pivot on each claiming worker, replacing the full-width
-	// pivot plus row-at-a-time scan stage. Unlike the serial scan this pays
-	// off even without kernels, because the pruned pivot happens columnar
-	// per worker instead of full-width behind the shared cursor.
+	// A columnar morsel source runs the filter kernels and the survivor
+	// pivot on each claiming worker, so the scan stage disappears. When the
+	// filter cannot be compiled columnar, the workers pivot full-width
+	// windows (a storage row-view gather) and the scan stage filters and
+	// projects them.
 	if cs, ok := e.src.(ColScanner); ok {
-		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok {
-			ms, err := cs.OpenColMorsels(ctx, s.Table, p.colScan(rel.Arity()))
-			if err != nil {
-				return nil, err
-			}
-			seg.ms = &vecMorsels{src: ms, p: p}
-			return seg, nil
+		p, pok := compileVecScan(rel, qual, full, conds, cols)
+		if !pok {
+			p, _ = compileVecScan(rel, qual, full, nil, nil)
+			seg.mk = append(seg.mk, scanStage(full, conds, cols))
 		}
+		ms, err := cs.OpenColMorsels(ctx, s.Table, p.colScan(rel.Arity()))
+		if err != nil {
+			return nil, err
+		}
+		seg.ms = &vecMorsels{src: ms, p: p}
+		return seg, nil
 	}
 
-	if msrc, ok := e.src.(MorselScanner); ok {
-		ms, err := msrc.OpenMorsels(ctx, s.Table, schema.DefaultBatchSize)
-		if err != nil {
-			return nil, err
-		}
-		seg.ms = ms
-	} else {
-		it, err := OpenScan(ctx, e.src, s.Table, schema.Scan{})
-		if err != nil {
-			return nil, err
-		}
-		seg.it = it
+	it, err := OpenScan(ctx, e.src, s.Table, schema.Scan{})
+	if err != nil {
+		return nil, err
 	}
+	seg.it = it
 	if len(conds) > 0 || cols != nil {
 		seg.mk = append(seg.mk, scanStage(full, conds, cols))
 	}

@@ -128,26 +128,18 @@ func (c *atomicCountingSource) RelationSchema(name string) (*schema.Relation, er
 	return c.st.RelationSchema(name)
 }
 
-func (c *atomicCountingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := c.st.OpenScan(ctx, name, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &atomicCountingIter{src: it, n: &c.scanned}, nil
+func (c *atomicCountingSource) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	return tapScan(ctx, c.st, name, sc, c.count)
 }
 
-type atomicCountingIter struct {
-	src schema.RowIterator
-	n   *atomic.Int64
+func (c *atomicCountingSource) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	return tapMorsels(ctx, c.st, name, sc, c.count)
 }
 
-func (c *atomicCountingIter) Next() (schema.Rows, error) {
-	b, err := c.src.Next()
-	c.n.Add(int64(len(b)))
-	return b, err
+func (c *atomicCountingSource) count(cb *schema.ColBatch) error {
+	c.scanned.Add(int64(cb.Len()))
+	return nil
 }
-
-func (c *atomicCountingIter) Close() { c.src.Close() }
 
 // TestParallelCancellationStopsScan: cancelling the context mid-stream
 // stops the storage reads within one batch per worker (plus the bounded
@@ -224,11 +216,13 @@ func TestParallelErrorPosition(t *testing.T) {
 	}
 }
 
-// failingSource injects an error after failAfter batches of any scan.
+// failingSource injects an error once its scans have handed out failAfter
+// batches: every later batch, serial or morsel, is replaced by err.
 type failingSource struct {
 	st        *storage.Store
 	failAfter int
 	err       error
+	served    atomic.Int64
 }
 
 func (f *failingSource) Relation(name string) (*schema.Relation, schema.Rows, error) {
@@ -239,29 +233,20 @@ func (f *failingSource) RelationSchema(name string) (*schema.Relation, error) {
 	return f.st.RelationSchema(name)
 }
 
-func (f *failingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := f.st.OpenScan(ctx, name, sc)
-	if err != nil {
-		return nil, err
+func (f *failingSource) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	return tapScan(ctx, f.st, name, sc, f.fail)
+}
+
+func (f *failingSource) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	return tapMorsels(ctx, f.st, name, sc, f.fail)
+}
+
+func (f *failingSource) fail(*schema.ColBatch) error {
+	if f.served.Add(1) > int64(f.failAfter) {
+		return f.err
 	}
-	return &failingIter{src: it, left: f.failAfter, err: f.err}, nil
+	return nil
 }
-
-type failingIter struct {
-	src  schema.RowIterator
-	left int
-	err  error
-}
-
-func (f *failingIter) Next() (schema.Rows, error) {
-	if f.left <= 0 {
-		return nil, f.err
-	}
-	f.left--
-	return f.src.Next()
-}
-
-func (f *failingIter) Close() { f.src.Close() }
 
 // TestParallelConcurrentOpens: one engine, one plan, many goroutines each
 // opening and draining their own parallel pipeline — plans are read-only

@@ -12,10 +12,10 @@ import (
 )
 
 // cellCountingSource measures what actually crosses the storage→engine
-// boundary: rows and cells (rows × columns) per scan, after the storage
-// layer applied any pushed-down predicate and projection. It is how the
-// plan-IR acceptance tests prove that pruned columns and pushed predicates
-// shrink the data leaving storage.
+// boundary: rows and cells (rows × columns) per columnar scan, after the
+// storage layer applied the pushed-down projection and zone-map pruning.
+// It is how the plan-IR acceptance tests prove that pruned columns and
+// pushed predicates shrink the data leaving storage.
 type cellCountingSource struct {
 	st    *storage.Store
 	rows  int
@@ -30,29 +30,19 @@ func (c *cellCountingSource) RelationSchema(name string) (*schema.Relation, erro
 	return c.st.RelationSchema(name)
 }
 
-func (c *cellCountingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := c.st.OpenScan(ctx, name, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &cellCountingIter{src: it, s: c}, nil
+func (c *cellCountingSource) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	return tapScan(ctx, c.st, name, sc, c.count)
 }
 
-type cellCountingIter struct {
-	src schema.RowIterator
-	s   *cellCountingSource
+func (c *cellCountingSource) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	return tapMorsels(ctx, c.st, name, sc, c.count)
 }
 
-func (c *cellCountingIter) Next() (schema.Rows, error) {
-	b, err := c.src.Next()
-	c.s.rows += len(b)
-	for _, r := range b {
-		c.s.cells += len(r)
-	}
-	return b, err
+func (c *cellCountingSource) count(cb *schema.ColBatch) error {
+	c.rows += cb.Len()
+	c.cells += cb.Len() * len(cb.Vecs)
+	return nil
 }
-
-func (c *cellCountingIter) Close() { c.src.Close() }
 
 func queryCells(t *testing.T, n int, sql string) (rows, cells, resultRows int) {
 	t.Helper()
@@ -94,13 +84,30 @@ func TestPrunedColumnsGroupedQuery(t *testing.T) {
 
 // TestPushedPredicateThroughDerivedBlock: an outer predicate over a derived
 // table's computed column migrates into the base scan (rewritten through
-// the projection), so rows failing it never leave storage. x and y are
-// in [0, 8) and [0, 6), so x + y > 100 matches nothing: the scan must hand
-// the engine zero rows.
+// the projection), so rows failing it never reach the outer block. x and y
+// are in [0, 8) and [0, 6), so x + y > 100 matches nothing. Storage serves
+// columns only, so the arithmetic form is filtered by the scan operator
+// over the vectors it loads; the comparison a zone map can decide (x > 100)
+// is pruned inside storage, and then the scan hands the engine zero rows.
 func TestPushedPredicateThroughDerivedBlock(t *testing.T) {
 	const n = 4_000
-	rows, cells, resultRows := queryCells(t, n,
-		"SELECT s FROM (SELECT x + y AS s, z FROM d) WHERE s > 100")
+	q := "SELECT s FROM (SELECT x + y AS s, z FROM d) WHERE s > 100"
+	_, _, resultRows := queryCells(t, n, q)
+	if resultRows != 0 {
+		t.Fatalf("expected empty result, got %d rows", resultRows)
+	}
+	root := plan.Optimize(mustPlan(t, q), plan.Options{Catalog: New(benchStore(t, 1)).Catalog(), CrossBlock: true})
+	pushed := ""
+	plan.Walk(root, func(nd plan.Node) {
+		if s, ok := nd.(*plan.Scan); ok && s.Predicate != nil {
+			pushed = s.Predicate.SQL()
+		}
+	})
+	if !strings.Contains(pushed, "100") {
+		t.Fatalf("outer predicate did not reach the base scan: pushed %q", pushed)
+	}
+
+	rows, cells, resultRows := queryCells(t, n, "SELECT s FROM (SELECT x AS s, z FROM d) WHERE s > 100")
 	if resultRows != 0 {
 		t.Fatalf("expected empty result, got %d rows", resultRows)
 	}
@@ -110,9 +117,9 @@ func TestPushedPredicateThroughDerivedBlock(t *testing.T) {
 }
 
 // TestPrunedColumnsJoinSides: qualified references prune each join side's
-// scan independently. d keeps only x and cell of its 5 columns — the filter
-// column z rides the pushed predicate (which runs before projection inside
-// the scan) and never leaves storage at all.
+// scan independently. d loads only x, cell and the filter column z of its
+// 5 columns — z feeds the pushed predicate's kernel and is dropped before
+// the join.
 func TestPrunedColumnsJoinSides(t *testing.T) {
 	const n = 4_000
 	src := &cellCountingSource{st: benchStore(t, n)}
@@ -124,8 +131,8 @@ func TestPrunedColumnsJoinSides(t *testing.T) {
 	if len(res.Rows) != n {
 		t.Fatalf("join lost rows: %d of %d", len(res.Rows), n)
 	}
-	// d contributes x, cell (2 of 5); cells is already minimal (2 of 2).
-	want := 2*n + 2*64
+	// d contributes x, cell and z (3 of 5); cells is already minimal (2 of 2).
+	want := 3*n + 2*64
 	if src.cells != want {
 		t.Fatalf("join pruning: %d cells left storage, want %d", src.cells, want)
 	}

@@ -115,13 +115,7 @@ func TestPruningSkipsSegmentsUnderSQL(t *testing.T) {
 // kernelizable conjunct *prefix* may reach storage.
 type predCapture struct {
 	*storage.Store
-	scans    []schema.ColScan
-	rowScans []schema.Scan
-}
-
-func (p *predCapture) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	p.rowScans = append(p.rowScans, sc)
-	return p.Store.OpenScan(ctx, name, sc)
+	scans []schema.ColScan
 }
 
 func (p *predCapture) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
@@ -155,17 +149,43 @@ func TestPushdownDeclineShapes(t *testing.T) {
 		if _, err := New(src).Query(context.Background(), tc.sql); err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		var got int
-		switch {
-		case len(src.scans) > 0:
-			got = len(src.scans[0].Predicate)
-		case len(src.rowScans) > 0:
-			got = len(src.rowScans[0].Predicate)
-		default:
+		if len(src.scans) == 0 {
 			t.Fatalf("%s: no scan opened", tc.sql)
 		}
-		if got != tc.want {
+		if got := len(src.scans[0].Predicate); got != tc.want {
 			t.Fatalf("%s: pushed %d structured conjuncts, want %d", tc.sql, got, tc.want)
+		}
+	}
+}
+
+// TestOpenScanGathersStoreRows: a row scan over storage pivots full-width
+// windows by gathering the table's row view, so every row it returns — from
+// sealed segments and from the tail, with and without a filter — is the
+// stored row itself, not a copy.
+func TestOpenScanGathersStoreRows(t *testing.T) {
+	st := segStore(t, 1_000, 128, false)
+	tab, err := st.Table("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := tab.Snapshot()
+	even := func(r schema.Row) (bool, error) { return r[3].AsInt()%2 == 0, nil }
+	for _, sc := range []schema.Scan{{}, {Filter: even}} {
+		it, err := OpenScan(context.Background(), st, "d", sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := schema.DrainIterator(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Filter != nil && len(got) != len(stored)/2 || sc.Filter == nil && len(got) != len(stored) {
+			t.Fatalf("filter %v: %d rows of %d", sc.Filter != nil, len(got), len(stored))
+		}
+		for _, r := range got {
+			if &r[0] != &stored[r[3].AsInt()][0] {
+				t.Fatalf("filter %v: row t=%d is a copy, not the stored row", sc.Filter != nil, r[3].AsInt())
+			}
 		}
 	}
 }

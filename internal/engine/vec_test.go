@@ -11,8 +11,8 @@ import (
 	"paradise/internal/storage"
 )
 
-// rowOnly hides every optional capability of a source (BatchSource,
-// MorselScanner, ColScanner), exposing only Relation. Scans over it take the
+// rowOnly hides every optional capability of a source (ColScanner,
+// RelationSchema), exposing only Relation. Scans over it take the
 // materialized row path, which makes it the reference executor for the
 // vectorized-equals-row equivalence suite below: the same query runs once
 // against the store (vectorized where the engine chooses to) and once
@@ -326,8 +326,8 @@ func TestVectorizedMatchesRowPathFuzz(t *testing.T) {
 	}
 }
 
-// colOnly serves a store's relations as column batches only, the way a
-// fragment stage's output is served: no row scans, no row morsels.
+// colOnly serves a store's relations through the columnar scan contract
+// alone, the way a fragment stage's output is served.
 type colOnly struct{ st *storage.Store }
 
 func (c colOnly) Relation(name string) (*schema.Relation, schema.Rows, error) {
@@ -348,15 +348,15 @@ func (c colOnly) OpenColMorsels(ctx context.Context, name string, sc schema.ColS
 
 // TestVecProjectResidualOnlyScan pins which plain single-table blocks run
 // columnar. The one shape left to the row path is a block with no
-// expression item whose filter has no kernel (an OR) over a source that
-// also scans rows; over a source serving column batches only, the same
-// block runs columnar. Both must agree with the row path.
+// expression item whose filter has no kernel (an OR): the rule reads the
+// plan only, so the store and a stage-like columnar source take the same
+// path. Both must agree with the row path.
 func TestVecProjectResidualOnlyScan(t *testing.T) {
 	ctx := context.Background()
 	st := vecStore(t, false)
 	cases := []struct {
-		sql       string
-		overStore bool // columnar over the store too
+		sql      string
+		columnar bool
 	}{
 		{"SELECT i, f FROM v WHERE i > 1 OR s = 'a'", false},
 		{"SELECT i, f FROM v WHERE i > 1", true},
@@ -374,10 +374,14 @@ func TestVecProjectResidualOnlyScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, vec := it.(*vecHead)
-				_, isCol := src.(colOnly)
-				if vec != (c.overStore || isCol) {
+				if _, vec := it.(*vecHead); vec != c.columnar {
 					t.Errorf("%s over %T at parallelism %d: columnar = %v", c.sql, src, par, vec)
+				}
+				// Serially, the declined block's scan is the row scan too.
+				if pi, ok := it.(*projIter); ok {
+					if _, vecScan := pi.src.(*vecScanIter); vecScan {
+						t.Errorf("%s over %T: scan runs columnar without kernels", c.sql, src)
+					}
 				}
 				got, err := schema.DrainIterator(it)
 				if err != nil {

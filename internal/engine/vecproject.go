@@ -452,12 +452,11 @@ type projItem struct {
 
 // openVecProject compiles a plain single-table SELECT whose expression
 // items are all vectorizable; pass-through items (plain columns) cost
-// nothing, so a plain scan compiles here too. It declines a scan with
-// nothing to compute whose filter has no kernel, over a source that also
-// scans rows: the row scan evaluates such a filter on the storage row
-// view without building batches (BenchmarkScanResidualFilter runs about
-// a fifth slower columnar). A columnar-only source, such as a fragment
-// stage's output, keeps this path.
+// nothing, so a plain scan compiles here too. It declines a block with no
+// expression item whose filter has no kernel, over every source: the row
+// scan evaluates such a filter on the pivoted rows (over storage a gather
+// of the row view) without building output batches
+// (BenchmarkScanResidualFilter runs about a fifth slower columnar).
 func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, bool, error) {
 	p, rel, ok := e.vecBlockScan(s, blk)
 	if !ok {
@@ -485,7 +484,7 @@ func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan
 		exprs++
 		passAll = false
 	}
-	if _, rowScans := e.src.(BatchSource); rowScans && exprs == 0 && len(p.kernels) == 0 && p.residual != nil {
+	if exprs == 0 && len(p.kernels) == 0 && p.residual != nil {
 		return nil, nil, false, nil
 	}
 

@@ -2,17 +2,18 @@ package engine
 
 import (
 	"context"
+	"sync"
 
 	"paradise/internal/schema"
 	"paradise/internal/sqlparser"
 )
 
-// ColScanner is the optional source capability behind vectorized scans: a
-// source that can serve column batches (and columnar morsels) directly, so
-// filter kernels run over typed vectors and rejected rows are never pivoted
-// to row form. storage.Store implements it, and so does a fragment stage's
-// output (the stage hand-off). Stream and network fan-in sources do not;
-// their scans stay on the row path.
+// ColScanner is the one scan contract a source implements: it serves
+// column batches (and columnar morsels) directly, so filter kernels run
+// over typed vectors and rejected rows are never pivoted to row form. Row
+// scans pivot its batches (OpenScan). storage.Store implements it, and so
+// does a fragment stage's output (the stage hand-off); a source without
+// it is scanned from its materialized Relation.
 type ColScanner interface {
 	// OpenColScan opens a serial columnar scan over the named relation with
 	// the given projection, structured pruning predicate and batch size.
@@ -139,7 +140,7 @@ func (p *vecScanPlan) colScan(arity int) schema.ColScan {
 
 // vecExec runs a compiled scan plan over column batches. One instance is
 // single-goroutine state (selection scratch, residual env); parallel
-// morsels allocate one per claim.
+// morsel workers borrow one per claim from a pool.
 type vecExec struct {
 	p    *vecScanPlan
 	a, b selBuf
@@ -282,9 +283,13 @@ func (v *vecScanIter) Close() { v.src.Close() }
 // vecMorsels adapts a columnar morsel source to the row-morsel surface:
 // each claim filters and pivots its batch on the claiming worker's
 // goroutine, so kernels run in parallel and the scan stage disappears.
+// Executors are pooled: a claim borrows one and returns it once its rows
+// are pivoted (they never alias the executor's scratch), so each worker
+// reuses one executor instead of building one per morsel.
 type vecMorsels struct {
-	src schema.ColMorselSource
-	p   *vecScanPlan
+	src   schema.ColMorselSource
+	p     *vecScanPlan
+	execs sync.Pool
 }
 
 func (v *vecMorsels) NextMorsel() (schema.Morsel, error) {
@@ -295,7 +300,12 @@ func (v *vecMorsels) NextMorsel() (schema.Morsel, error) {
 	if cm.Batch == nil {
 		return schema.Morsel{}, nil
 	}
-	rows, err := newVecExec(v.p).apply(cm.Batch)
+	x, _ := v.execs.Get().(*vecExec)
+	if x == nil {
+		x = newVecExec(v.p)
+	}
+	rows, err := x.apply(cm.Batch)
+	v.execs.Put(x)
 	if err != nil {
 		return schema.Morsel{Seq: cm.Seq}, err
 	}

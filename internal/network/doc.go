@@ -15,4 +15,6 @@
 // streaming path (Open + drain) and the materialized path (Run) report
 // byte-identical RunStats by construction — at any WithParallelism
 // setting, since a parallel chain's per-stage sums equal the serial ones.
+// RunFanIn is the same chain run with the base data spread over many
+// sensors: only the placement walk's accounting of the bottom node differs.
 package network

@@ -3,159 +3,27 @@ package network
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"paradise/internal/engine"
 	"paradise/internal/fragment"
-	logical "paradise/internal/plan"
-	"paradise/internal/schema"
 )
 
 // RunFanIn simulates the paper's real node-count situation (Table 1: >= 100
 // sensors feed 10-50 appliances feeding one PC): the base data is spread
-// over sensorCount sensor nodes, each runs the sensor-level fragment over
-// its own shard in parallel, and the shard results fan in over the
-// sensor->appliance link before the remaining fragments continue up the
-// chain as in Run.
+// round-robin over sensorCount sensor nodes, each runs the sensor-level
+// fragment over its own shard in parallel, and the shard results fan in
+// over the sensor->appliance link before the remaining fragments continue
+// up the chain as in Run.
 //
-// Accounting differences versus the single-sensor Run: the first link
-// carries the sum of all shard outputs, while simulated time takes the
-// *maximum* shard (parallel sensors) plus the serialized radio transfers
-// (the sensors share the low-bandwidth medium).
+// It is Run with a different accounting of the bottom node (see
+// placeStats): the first link carries the sum of all shard outputs, while
+// simulated time takes the largest shard's compute (parallel sensors) plus
+// one transfer latency per sensor (the sensors share the low-bandwidth
+// medium). When stage 1 does not run on the bottom node, or one sensor
+// holds all the data, RunFanIn is exactly Run.
 func RunFanIn(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.Source, sensorCount int, opts ...Option) (*RunStats, error) {
 	if sensorCount < 1 {
 		return nil, fmt.Errorf("%w: sensor count must be >= 1", ErrNetwork)
 	}
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := runConfig{par: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if len(plan.Fragments) == 0 {
-		return nil, fmt.Errorf("%w: empty plan", ErrNetwork)
-	}
-	first := plan.Fragments[0]
-	if first.MinLevel > fragment.LevelSensor {
-		// The first fragment already needs an appliance (e.g. a join);
-		// fan-in degenerates to the plain run.
-		return Run(ctx, topo, plan, src, opts...)
-	}
-
-	stats := &RunStats{RawBytes: rawSize(plan, src)}
-	hop := make([]HopTraffic, len(topo.Links))
-	for i := range hop {
-		hop[i] = HopTraffic{Link: topo.Links[i]}
-	}
-
-	// Shard the base relation(s) round-robin across the sensors.
-	tables := logical.BaseTables(first.Root)
-	if len(tables) != 1 {
-		return Run(ctx, topo, plan, src)
-	}
-	rel, rows, err := src.Relation(tables[0])
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]schema.Rows, sensorCount)
-	for i, r := range rows {
-		shards[i%sensorCount] = append(shards[i%sensorCount], r)
-	}
-
-	// Each sensor runs the stage-1 fragment on its shard.
-	sensor := topo.Nodes[0]
-	link := topo.Links[0]
-	var maxComputeMs, radioMs float64
-	var union schema.Rows
-	var outRel *schema.Relation
-	inRows := 0
-	for _, shard := range shards {
-		shardSrc := &overlaySource{base: src, name: tables[0], rel: rel, rows: shard}
-		res, err := engine.New(shardSrc).WithParallelism(cfg.par).SelectPlan(ctx, first.Root)
-		if err != nil {
-			return nil, fmt.Errorf("network: fan-in sensor fragment: %w", err)
-		}
-		if sensor.Power > 0 {
-			c := float64(len(shard)) / sensor.Power / 1000
-			if c > maxComputeMs {
-				maxComputeMs = c // sensors compute in parallel
-			}
-		}
-		bytes := res.Rows.WireSize()
-		hop[0].Bytes += bytes
-		hop[0].Rows += len(res.Rows)
-		radioMs += link.LatencyMs + float64(bytes)/link.BytesPerMs // shared medium
-		union = append(union, res.Rows...)
-		outRel = res.Schema
-		inRows += len(shard)
-	}
-	simMs := maxComputeMs + radioMs
-	stats.Assignments = append(stats.Assignments, Assignment{
-		Fragment: first, Node: sensor, InRows: inRows,
-		OutRows: len(union), OutBytes: union.WireSize(),
-	})
-
-	// Continue with the remaining fragments from the appliance upward,
-	// reusing Run's logic on a sub-plan fed by the union.
-	cur := &engine.Result{Schema: outRel.Clone(first.Output), Rows: union}
-	pos := 1
-	used := make([]bool, len(topo.Nodes))
-	used[0] = true
-	curName := first.Output
-
-	for _, f := range plan.Fragments[1:] {
-		inCount := len(cur.Rows)
-		exec := pos
-		fellBack := false
-		for exec < topo.CloudIndex() &&
-			(topo.Nodes[exec].Level < f.MinLevel || topo.Nodes[exec].MemRows < inCount || used[exec]) {
-			if topo.Nodes[exec].Level >= f.MinLevel && topo.Nodes[exec].MemRows < inCount {
-				fellBack = true
-			}
-			exec++
-		}
-		if topo.Nodes[exec].Level < f.MinLevel {
-			return nil, fmt.Errorf("%w: no node can run fragment Q%d", ErrNetwork, f.Stage)
-		}
-		bytes := cur.Rows.WireSize()
-		for i := pos; i < exec; i++ {
-			hop[i].Bytes += bytes
-			hop[i].Rows += len(cur.Rows)
-			simMs += topo.Links[i].LatencyMs + float64(bytes)/topo.Links[i].BytesPerMs
-		}
-		pos = exec
-		used[pos] = true
-		node := topo.Nodes[pos]
-
-		stageSrc := &overlaySource{base: src, name: curName, rel: cur.Schema, rows: cur.Rows}
-		res, err := engine.New(stageSrc).WithParallelism(cfg.par).SelectPlan(ctx, f.Root)
-		if err != nil {
-			return nil, fmt.Errorf("network: fan-in Q%d on %s: %w", f.Stage, node.Name, err)
-		}
-		if node.Power > 0 {
-			simMs += float64(inCount) / node.Power / 1000
-		}
-		curName = f.Output
-		cur = &engine.Result{Schema: res.Schema.Clone(f.Output), Rows: res.Rows}
-		stats.Assignments = append(stats.Assignments, Assignment{
-			Fragment: f, Node: node, InRows: inCount,
-			OutRows: len(res.Rows), OutBytes: res.Rows.WireSize(), FellBack: fellBack,
-		})
-	}
-
-	if pos < topo.CloudIndex() {
-		bytes := cur.Rows.WireSize()
-		for i := pos; i < topo.CloudIndex(); i++ {
-			hop[i].Bytes += bytes
-			hop[i].Rows += len(cur.Rows)
-			simMs += topo.Links[i].LatencyMs + float64(bytes)/topo.Links[i].BytesPerMs
-		}
-	}
-
-	stats.Result = cur
-	stats.Traffic = hop
-	stats.EgressBytes = hop[len(hop)-1].Bytes
-	stats.SimTime = time.Duration(simMs * float64(time.Millisecond))
-	return stats, nil
+	return run(ctx, topo, plan, src, sensorCount, opts...)
 }

@@ -198,7 +198,13 @@ func (r *RunStats) Summary() string {
 // materialized path share one pipeline and one accounting routine, so a
 // cursor that drains a Stream observes byte-identical RunStats.
 func Run(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.Source, opts ...Option) (*RunStats, error) {
-	st, err := Open(ctx, topo, plan, src, opts...)
+	return run(ctx, topo, plan, src, 1, opts...)
+}
+
+// run is Run with the base data spread over sensors sensor nodes (see
+// RunFanIn): one pipeline, one drain, one placement walk.
+func run(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.Source, sensors int, opts ...Option) (*RunStats, error) {
+	st, err := open(ctx, topo, plan, src, sensors, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -225,15 +231,16 @@ func Run(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.So
 // remaining pipeline first, because every node is a store-and-forward hop
 // that ships its whole output regardless of how much the requester reads.
 type Stream struct {
-	topo   *Topology
-	plan   *fragment.Plan
-	chain  *fragment.Chain
-	rows   schema.RowIterator // the chain's output, pivoted
-	baseIn int                // input rows of the first fragment (base relations)
-	raw    int                // wire size of the base relations the plan reads
-	stats  *RunStats
-	err    error
-	closed bool
+	topo    *Topology
+	plan    *fragment.Plan
+	chain   *fragment.Chain
+	rows    schema.RowIterator // the chain's output, pivoted
+	baseIn  int                // input rows of the first fragment (base relations)
+	raw     int                // wire size of the base relations the plan reads
+	sensors int                // sensor nodes the base data is spread over
+	stats   *RunStats
+	err     error
+	closed  bool
 }
 
 // Open validates the topology (including that every fragment's capability
@@ -244,6 +251,10 @@ type Stream struct {
 // rows); cancellation is checked per batch at every scan once the consumer
 // starts pulling.
 func Open(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.Source, opts ...Option) (*Stream, error) {
+	return open(ctx, topo, plan, src, 1, opts...)
+}
+
+func open(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.Source, sensors int, opts ...Option) (*Stream, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -264,12 +275,13 @@ func Open(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.S
 	}
 	baseIn, raw := baseStats(plan, src)
 	return &Stream{
-		topo:   topo,
-		plan:   plan,
-		chain:  chain,
-		rows:   schema.PivotRows(chain.Iterator()),
-		baseIn: baseIn,
-		raw:    raw,
+		topo:    topo,
+		plan:    plan,
+		chain:   chain,
+		rows:    schema.PivotRows(chain.Iterator()),
+		baseIn:  baseIn,
+		raw:     raw,
+		sensors: sensors,
 	}, nil
 }
 
@@ -304,7 +316,7 @@ func (s *Stream) Close() {
 	if s.err != nil {
 		return
 	}
-	s.stats, s.err = placeStats(s.topo, s.plan, s.chain.Stages(), s.baseIn, s.raw)
+	s.stats, s.err = placeStats(s.topo, s.plan, s.chain.Stages(), s.baseIn, s.raw, s.sensors)
 }
 
 // Stats returns the Figure 3 accounting of the fully drained chain,
@@ -324,7 +336,15 @@ func (s *Stream) Stats() (*RunStats, error) {
 // — each node runs at most one fragment except the cloud, which absorbs any
 // overflow — and the fragment's input ships hop by hop to that node, with
 // bytes and time accounted per link.
-func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResult, baseIn, raw int) (*RunStats, error) {
+//
+// With the base data spread over sensors > 1 sensor nodes, a sensor-level
+// stage 1 placed on the bottom node runs once per round-robin shard, in
+// parallel: the node's memory must hold the largest shard, its compute is
+// that shard's, and the shard outputs share link 0's medium, so shipping
+// them costs one latency per sensor plus the summed bytes. A sensor
+// fragment is SELECT * with attribute-vs-constant filters, so it works row
+// by row and the shard outputs sum to exactly the whole output.
+func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResult, baseIn, raw, sensors int) (*RunStats, error) {
 	stats := &RunStats{RawBytes: raw}
 	hop := make([]HopTraffic, len(topo.Links))
 	for i := range hop {
@@ -335,6 +355,16 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 	used := make([]bool, len(topo.Nodes))
 	var simMs float64
 	prevRows, prevBytes := 0, 0
+	fanned := false // stage 1 ran sharded on the bottom node
+	ship := func(h, rows, bytes int) {
+		hop[h].Bytes += bytes
+		hop[h].Rows += rows
+		latency := topo.Links[h].LatencyMs
+		if h == 0 && fanned {
+			latency *= float64(sensors)
+		}
+		simMs += latency + float64(bytes)/topo.Links[h].BytesPerMs
+	}
 
 	for i, f := range plan.Fragments {
 		// Input row count for memory checks: the first fragment reads base
@@ -342,6 +372,13 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 		inRows := prevRows
 		if i == 0 {
 			inRows = baseIn
+		}
+		sharded := i == 0 && sensors > 1 && f.MinLevel <= fragment.LevelSensor
+		need := func(exec int) int {
+			if sharded && exec == 0 {
+				return (inRows + sensors - 1) / sensors // the largest shard
+			}
+			return inRows
 		}
 
 		// The cost-based placement (when computed) raises the target rung
@@ -351,8 +388,8 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 		exec := pos
 		fellBack := false
 		for exec < topo.CloudIndex() &&
-			(topo.Nodes[exec].Level < want || topo.Nodes[exec].MemRows < inRows || used[exec]) {
-			if topo.Nodes[exec].Level >= want && topo.Nodes[exec].MemRows < inRows {
+			(topo.Nodes[exec].Level < want || topo.Nodes[exec].MemRows < need(exec) || used[exec]) {
+			if topo.Nodes[exec].Level >= want && topo.Nodes[exec].MemRows < need(exec) {
 				fellBack = true // capable but too weak: §3.2 fallback
 			}
 			exec++
@@ -371,15 +408,14 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 			shipRows, shipBytes = baseIn, raw
 		}
 		for h := pos; h < exec; h++ {
-			hop[h].Bytes += shipBytes
-			hop[h].Rows += shipRows
-			simMs += topo.Links[h].LatencyMs + float64(shipBytes)/topo.Links[h].BytesPerMs
+			ship(h, shipRows, shipBytes)
 		}
 		pos = exec
 		used[pos] = true
+		fanned = sharded && exec == 0
 		node := topo.Nodes[pos]
 		if node.Power > 0 {
-			simMs += float64(inRows) / node.Power / 1000
+			simMs += float64(need(exec)) / node.Power / 1000
 		}
 
 		stats.Assignments = append(stats.Assignments, Assignment{
@@ -392,9 +428,7 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 
 	// The final result always travels to the cloud (the requester).
 	for h := pos; h < topo.CloudIndex(); h++ {
-		hop[h].Bytes += prevBytes
-		hop[h].Rows += prevRows
-		simMs += topo.Links[h].LatencyMs + float64(prevBytes)/topo.Links[h].BytesPerMs
+		ship(h, prevRows, prevBytes)
 	}
 
 	stats.Traffic = hop
@@ -421,12 +455,12 @@ func RunNaive(ctx context.Context, topo *Topology, root logical.Node, src engine
 	raw := 0
 	rawRows := 0
 	for _, tbl := range logical.BaseTables(root) {
-		_, rows, err := src.Relation(tbl)
+		rows, bytes, err := relationSize(src, tbl)
 		if err != nil {
 			return nil, fmt.Errorf("network: naive run: %w", err)
 		}
-		raw += rows.WireSize()
-		rawRows += len(rows)
+		raw += bytes
+		rawRows += rows
 	}
 	stats.RawBytes = raw
 
@@ -456,47 +490,6 @@ func RunNaive(ctx context.Context, topo *Topology, root logical.Node, src engine
 	return stats, nil
 }
 
-// overlaySource exposes an intermediate result under its stage name on top
-// of the base source. It implements engine.BatchSource so the next
-// fragment's scan streams the overlay rows (with any pushed-down filter and
-// projection) instead of re-materializing them.
-type overlaySource struct {
-	base engine.Source
-	name string
-	rel  *schema.Relation
-	rows schema.Rows
-}
-
-func (o *overlaySource) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	if name == o.name {
-		return o.rel, o.rows, nil
-	}
-	return o.base.Relation(name)
-}
-
-func (o *overlaySource) RelationSchema(name string) (*schema.Relation, error) {
-	if name == o.name {
-		return o.rel, nil
-	}
-	return engine.RelationSchema(o.base, name)
-}
-
-func (o *overlaySource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	if name == o.name {
-		return schema.ScanRows(o.rows, sc), nil
-	}
-	return engine.OpenScan(ctx, o.base, name, sc)
-}
-
-// rawSize measures the wire size of every base relation the plan reads —
-// the |d| of Figure 3. One definition for every run flavour: it delegates
-// to baseStats so streaming, materialized and fan-in stats can never
-// disagree on what counts as raw data.
-func rawSize(plan *fragment.Plan, src engine.Source) int {
-	_, raw := baseStats(plan, src)
-	return raw
-}
-
 // relationStatser is the optional fast path for sizing base relations:
 // storage.Store implements it with O(1) cached counters, so opening a
 // streaming run does not materialize (or even walk) the base tables.
@@ -504,10 +497,27 @@ type relationStatser interface {
 	RelationStats(name string) (rows, wireBytes int, err error)
 }
 
+// relationSize returns the row count and wire size of one base relation:
+// from the O(1) stats fast path when the source has it, otherwise by
+// materializing the relation once.
+func relationSize(src engine.Source, name string) (rows, wireBytes int, err error) {
+	if rs, ok := src.(relationStatser); ok {
+		if rows, wireBytes, err := rs.RelationStats(name); err == nil {
+			return rows, wireBytes, nil
+		}
+	}
+	_, rel, err := src.Relation(name)
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(rel), rel.WireSize(), nil
+}
+
 // baseStats measures, in one pass over the base relations, the input row
 // count of the first fragment and the wire size of every base relation the
-// plan reads — the |d| of Figure 3. Sources without the O(1) stats fast
-// path are materialized once per distinct table.
+// plan reads — the |d| of Figure 3. One definition for every run flavour,
+// so streaming, materialized, fan-in and naive stats can never disagree on
+// what counts as raw data. A relation that cannot be sized counts as empty.
 func baseStats(plan *fragment.Plan, src engine.Source) (baseIn, raw int) {
 	type stat struct{ rows, bytes int }
 	cache := map[string]stat{}
@@ -515,29 +525,14 @@ func baseStats(plan *fragment.Plan, src engine.Source) (baseIn, raw int) {
 		if s, ok := cache[t]; ok {
 			return s
 		}
-		var s stat
-		if rs, ok := src.(relationStatser); ok {
-			if rows, bytes, err := rs.RelationStats(t); err == nil {
-				s = stat{rows: rows, bytes: bytes}
-				cache[t] = s
-				return s
-			}
-		}
-		if _, rows, err := src.Relation(t); err == nil {
-			s = stat{rows: len(rows), bytes: rows.WireSize()}
-		}
-		cache[t] = s
-		return s
+		rows, bytes, _ := relationSize(src, t)
+		cache[t] = stat{rows: rows, bytes: bytes}
+		return cache[t]
 	}
 	for _, t := range logical.BaseTables(plan.Fragments[0].Root) {
 		baseIn += load(t).rows
 	}
-	seen := map[string]bool{}
 	for _, t := range logical.BaseTables(plan.Root) {
-		if seen[t] {
-			continue
-		}
-		seen[t] = true
 		raw += load(t).bytes
 	}
 	return baseIn, raw

@@ -238,3 +238,44 @@ func TestRunNaiveShipsEverything(t *testing.T) {
 		t.Fatalf("naive egress %d != raw size %d", stats.EgressBytes, rows.WireSize())
 	}
 }
+
+// snapshotCounter is a store that counts full-table materializations.
+type snapshotCounter struct {
+	*storage.Store
+	snapshots int
+}
+
+func (s *snapshotCounter) Relation(name string) (*schema.Relation, schema.Rows, error) {
+	s.snapshots++
+	return s.Store.Relation(name)
+}
+
+// TestRunNaiveRawBytesMatchRun: the naive baseline sizes |d| the way the
+// fragmented run does, from the store's counters, without materializing a
+// base table.
+func TestRunNaiveRawBytesMatchRun(t *testing.T) {
+	src := &snapshotCounter{Store: testStore(t, 700)}
+	q := "SELECT x, AVG(z) AS za FROM d WHERE z < 2 GROUP BY x"
+	frag, err := Run(context.Background(), DefaultApartment(), mustPlan(t, q), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := sqlparser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := logical.FromAST(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := RunNaive(context.Background(), DefaultApartment(), root, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.RawBytes != frag.RawBytes || naive.RawBytes == 0 {
+		t.Fatalf("naive |d| = %d bytes, fragmented run %d", naive.RawBytes, frag.RawBytes)
+	}
+	if src.snapshots != 0 {
+		t.Fatalf("sizing |d| materialized base tables %d times", src.snapshots)
+	}
+}

@@ -55,9 +55,10 @@ type Node interface {
 
 // Scan reads a named base relation (or, inside a fragment chain, the output
 // of the previous stage). The optimizer narrows Columns (projection pruning)
-// and fills Predicate (predicate pushdown); both travel into
-// storage.Table.Scan so the store filters and projects before a single row
-// reaches the engine.
+// and fills Predicate (predicate pushdown); both travel into the engine's
+// scan, so storage serves only the pruned columns, skips segments whose
+// zone maps refute the predicate, and the scan filters before anything
+// above it sees a row.
 type Scan struct {
 	// Table names the relation.
 	Table string

@@ -587,6 +587,14 @@ func (p *pivotIter) Next() (Rows, error) {
 
 func (p *pivotIter) Close() { p.src.Close() }
 
+// SizeHint forwards the source's hint: the pivot is 1:1.
+func (p *pivotIter) SizeHint() int {
+	if h, ok := p.src.(SizeHinter); ok {
+		return h.SizeHint()
+	}
+	return 0
+}
+
 // RowBatches adapts a row iterator to the columnar surface, converting each
 // row batch once (BatchFromRows) with column types declared by rel. It is
 // meant for the head of a pipeline that is row-only all the way through;

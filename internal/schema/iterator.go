@@ -49,14 +49,6 @@ type Scan struct {
 // Empty reports whether the scan is a plain full-relation read.
 func (sc Scan) Empty() bool { return sc.Columns == nil && sc.Filter == nil }
 
-// batch normalizes the batch size.
-func (sc Scan) batch() int {
-	if sc.BatchSize <= 0 {
-		return DefaultBatchSize
-	}
-	return sc.BatchSize
-}
-
 // Project returns the relation restricted to the given column positions, in
 // that order. A nil cols returns the receiver unchanged.
 func (r *Relation) Project(cols []int) *Relation {
@@ -125,12 +117,6 @@ func FilterProject(src RowIterator, sc Scan) RowIterator {
 		return src
 	}
 	return &scanIterator{src: src, sc: sc}
-}
-
-// ScanRows applies a Scan to materialized rows: the batch-iterator form of a
-// table scan for sources that hold their relations in memory.
-func ScanRows(rows Rows, sc Scan) RowIterator {
-	return FilterProject(IterateRows(rows, sc.batch()), sc)
 }
 
 func (s *scanIterator) Next() (Rows, error) {

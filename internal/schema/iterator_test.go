@@ -45,10 +45,9 @@ func TestScanRowsFilterProject(t *testing.T) {
 	for i := range rows {
 		rows[i] = Row{Int(int64(i)), String("v")}
 	}
-	it := ScanRows(rows, Scan{
-		Columns:   []int{0},
-		Filter:    func(r Row) (bool, error) { return r[0].AsInt()%2 == 0, nil },
-		BatchSize: 4,
+	it := FilterProject(IterateRows(rows, 4), Scan{
+		Columns: []int{0},
+		Filter:  func(r Row) (bool, error) { return r[0].AsInt()%2 == 0, nil },
 	})
 	got, err := DrainIterator(it)
 	if err != nil {
@@ -66,7 +65,7 @@ func TestScanRowsFilterProject(t *testing.T) {
 
 func TestScanRowsFilterError(t *testing.T) {
 	wantErr := errors.New("boom")
-	it := ScanRows(iterRows(5), Scan{
+	it := FilterProject(IterateRows(iterRows(5), 0), Scan{
 		Filter: func(Row) (bool, error) { return false, wantErr },
 	})
 	if _, err := DrainIterator(it); !errors.Is(err, wantErr) {
@@ -99,7 +98,7 @@ func TestIteratorCloseIdempotent(t *testing.T) {
 	rows := Rows{{Int(1)}, {Int(2)}, {Int(3)}}
 	iters := map[string]RowIterator{
 		"slice":  IterateRows(rows, 2),
-		"scan":   ScanRows(rows, Scan{Filter: func(Row) (bool, error) { return true, nil }}),
+		"scan":   FilterProject(IterateRows(rows, 0), Scan{Filter: func(Row) (bool, error) { return true, nil }}),
 		"ctx":    WithContext(cancelledCtx(), IterateRows(rows, 2)),
 		"filter": FilterProject(IterateRows(rows, 2), Scan{Columns: []int{0}}),
 	}

@@ -87,7 +87,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsIdentical(t, "recovered scan", drainRows(t, tab.Scan(context.Background(), schema.Scan{})), rows)
+	rowsIdentical(t, "recovered scan", drainRows(t, rowScan(context.Background(), tab, schema.Scan{})), rows)
 	sameColumnStats(t, "recovered stats", tab.Stats(), origTab.Stats())
 
 	// Appends continue after recovery and the next seal does not collide
@@ -105,7 +105,7 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsIdentical(t, "append after recovery",
-		drainRows(t, tab2.Scan(context.Background(), schema.Scan{})), append(append(schema.Rows{}, rows...), extra...))
+		drainRows(t, rowScan(context.Background(), tab2, schema.Scan{})), append(append(schema.Rows{}, rows...), extra...))
 }
 
 // corruptions maps a name to a mutation of the on-disk segment files.
@@ -172,7 +172,7 @@ func TestDiskBitRotSurfacesOnScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := tab.Scan(context.Background(), schema.Scan{})
+	it := rowScan(context.Background(), tab, schema.Scan{})
 	defer it.Close()
 	for {
 		b, err := it.Next()
@@ -209,7 +209,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drainRows(t, tab.Scan(context.Background(), schema.Scan{}))
+			got := drainRows(t, rowScan(context.Background(), tab, schema.Scan{}))
 
 			// The recovered relation must be a prefix of the original corpus
 			// aligned to a 64-row segment boundary (or the full corpus, when
@@ -260,7 +260,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := append(append(schema.Rows{}, rows[:len(got)]...), extra...)
-			rowsIdentical(t, name+" resume", drainRows(t, tab2.Scan(context.Background(), schema.Scan{})), want)
+			rowsIdentical(t, name+" resume", drainRows(t, rowScan(context.Background(), tab2, schema.Scan{})), want)
 		})
 	}
 }

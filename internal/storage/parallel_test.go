@@ -25,12 +25,12 @@ func morselStore(t *testing.T, n int) *Table {
 }
 
 // TestScanMorselsPartition: concurrent workers pulling from one morsel
-// source cover the table exactly once — every row served to exactly one
-// worker, seqs contiguous.
+// source and pivoting their windows cover the table exactly once — every
+// row served to exactly one worker, seqs contiguous.
 func TestScanMorselsPartition(t *testing.T) {
 	const n = 1000
 	tab := morselStore(t, n)
-	src := tab.ScanMorsels(context.Background(), 64)
+	src := tab.ScanColMorsels(context.Background(), schema.ColScan{BatchSize: 64})
 
 	var mu sync.Mutex
 	got := make(map[int64]int)
@@ -41,13 +41,14 @@ func TestScanMorselsPartition(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				m, err := src.NextMorsel()
-				if err != nil || m.Rows == nil {
+				m, err := src.NextColMorsel()
+				if err != nil || m.Batch == nil {
 					return
 				}
+				rows := m.Batch.Rows()
 				mu.Lock()
 				seqs[m.Seq] = true
-				for _, r := range m.Rows {
+				for _, r := range rows {
 					got[r[0].AsInt()]++
 				}
 				mu.Unlock()
@@ -77,16 +78,16 @@ func TestScanMorselsPartition(t *testing.T) {
 func TestScanMorselsCancellation(t *testing.T) {
 	tab := morselStore(t, 10_000)
 	ctx, cancel := context.WithCancel(context.Background())
-	src := tab.ScanMorsels(ctx, 256)
+	src := tab.ScanColMorsels(ctx, schema.ColScan{BatchSize: 256})
 
-	if m, err := src.NextMorsel(); err != nil || len(m.Rows) != 256 {
-		t.Fatalf("first morsel: rows=%d err=%v", len(m.Rows), err)
+	if m, err := src.NextColMorsel(); err != nil || m.Batch == nil || len(m.Batch.Rows()) != 256 {
+		t.Fatalf("first morsel: %+v err=%v", m, err)
 	}
 	cancel()
 
 	var errCount, doneCount int
 	for i := 0; i < 4; i++ {
-		m, err := src.NextMorsel()
+		m, err := src.NextColMorsel()
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
@@ -94,7 +95,7 @@ func TestScanMorselsCancellation(t *testing.T) {
 			errCount++
 			continue
 		}
-		if m.Rows != nil {
+		if m.Batch != nil {
 			t.Fatalf("morsel served after cancel")
 		}
 		doneCount++

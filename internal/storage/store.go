@@ -51,7 +51,7 @@ func (c Config) segRows() int {
 //
 // Each sealed segment carries a zone map (per-column min/max, null count,
 // NaN count, type census — see segment.go) consulted by every scan path:
-// a scan with a structured predicate (schema.Scan.Predicate) skips whole
+// a scan with a structured predicate (schema.ColScan.Predicate) skips whole
 // segments the zone maps prove matchless before materializing a single
 // batch. With a persistent Backend, sealed segments live on disk and are
 // decoded lazily per scan, so tables larger than RAM scan fine and a
@@ -421,51 +421,31 @@ func (t *Table) Snapshot() schema.Rows {
 	return out
 }
 
-// Scan opens an incremental batch scan over the table with the given
-// projection and predicate pushed down. Unlike Snapshot, a scan never
-// pivots the whole table: each pull windows one batch of a part's column
-// vectors and pivots it to rows. Segments whose zone maps prove the scan's
-// structured predicate (sc.Predicate) matchless are skipped outright —
-// never opened, never decoded. When the scan has no row filter, the
-// projection is applied at the pivot, so pruned columns are never
-// materialized at all; a predicate needs the full-width row, so filtering
-// scans pivot full width and project afterwards. The scan sees the rows
-// present at open; later appends are not observed.
+// ScanColumns opens a columnar scan serving zero-copy windows of the
+// selected columns (sc.Columns nil keeps all), skipping segments whose zone
+// maps prove sc.Predicate matchless — never opened, never decoded. No rows
+// are built: kernels consume the vectors directly, and a row consumer
+// pivots each batch (a full-width window carries the row view, so the
+// pivot gathers references). The scan sees the rows present at open; later
+// appends are not observed.
 //
 // The scan is bound to ctx: cancellation is checked on every pull, so a
 // cancelled query stops reading the table within one batch.
-func (t *Table) Scan(ctx context.Context, sc schema.Scan) schema.RowIterator {
-	batch := sc.BatchSize
-	if batch <= 0 {
-		batch = schema.DefaultBatchSize
-	}
-	if sc.Filter == nil {
-		snap := t.snapshotScan(sc.Columns, sc.Predicate)
-		return schema.WithContext(ctx, &tableScan{cur: partCursor{snap: snap, batch: batch}})
-	}
-	snap := t.snapshotScan(nil, sc.Predicate)
-	return schema.FilterProject(
-		schema.WithContext(ctx, &tableScan{cur: partCursor{snap: snap, batch: batch}}), sc)
-}
-
-// ScanColumns opens a columnar scan serving zero-copy windows of the
-// selected columns (sc.Columns nil keeps all), skipping segments via
-// sc.Predicate. This is the engine's vectorized fast path: no rows are
-// built, kernels consume the vectors directly.
 func (t *Table) ScanColumns(ctx context.Context, sc schema.ColScan) schema.ColIterator {
 	batch := sc.BatchSize
 	if batch <= 0 {
 		batch = schema.DefaultBatchSize
 	}
 	snap := t.snapshotScan(sc.Columns, sc.Predicate)
-	return &tableColScan{ctx: ctx, cur: partCursor{snap: snap, batch: batch}}
+	return &tableColScan{ctx: ctx, snap: snap, batch: batch}
 }
 
-// partCursor advances serially over a snapshot's parts, one batch window
-// at a time. Parts open (and on-disk segments decode) only when the cursor
-// reaches them — a consumer that stops early (LIMIT) never touches the
-// segments behind its stop point.
-type partCursor struct {
+// tableColScan advances serially over a snapshot's parts, one batch
+// window at a time, bound to ctx. Parts open (and on-disk segments decode)
+// only when the scan reaches them — a consumer that stops early (LIMIT)
+// never touches the segments behind its stop point.
+type tableColScan struct {
+	ctx   context.Context
 	snap  *tableSnap
 	batch int
 	pi    int
@@ -473,92 +453,63 @@ type partCursor struct {
 	done  bool
 }
 
-func (c *partCursor) next() (*schema.ColBatch, error) {
-	for !c.done {
-		if c.pi >= len(c.snap.parts) {
-			c.done = true
+func (s *tableColScan) NextBatch() (*schema.ColBatch, error) {
+	if err := s.ctx.Err(); err != nil {
+		s.done = true
+		return nil, err
+	}
+	for !s.done {
+		if s.pi >= len(s.snap.parts) {
+			s.done = true
 			return nil, nil
 		}
-		p := c.snap.parts[c.pi]
-		if c.pos >= p.nrows {
-			c.pi++
-			c.pos = 0
+		p := s.snap.parts[s.pi]
+		if s.pos >= p.nrows {
+			s.pi++
+			s.pos = 0
 			continue
 		}
 		b, err := p.open()
 		if err != nil {
-			c.done = true
+			s.done = true
 			return nil, err
 		}
-		end := c.pos + c.batch
+		end := s.pos + s.batch
 		if end > p.nrows {
 			end = p.nrows
 		}
-		out := windowBatch(b, c.pos, end)
-		c.pos = end
+		out := windowBatch(b, s.pos, end)
+		s.pos = end
 		return out, nil
 	}
 	return nil, nil
 }
 
-// remaining reports the exact unread row count of the snapshot.
-func (c *partCursor) remaining() int {
-	if c.done {
+func (s *tableColScan) Close() { s.done = true }
+
+// SizeHint reports the exact unread row count of the snapshot, so a row
+// consumer draining the pivoted scan sizes its output once.
+func (s *tableColScan) SizeHint() int {
+	if s.done {
 		return 0
 	}
 	n := 0
-	for i := c.pi; i < len(c.snap.parts); i++ {
-		n += c.snap.parts[i].nrows
+	for i := s.pi; i < len(s.snap.parts); i++ {
+		n += s.snap.parts[i].nrows
 	}
-	return n - c.pos
+	return n - s.pos
 }
 
-func (c *partCursor) close() { c.done = true }
-
-// tableScan pivots part windows to rows batch-at-a-time.
-type tableScan struct{ cur partCursor }
-
-func (s *tableScan) Next() (schema.Rows, error) {
-	b, err := s.cur.next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	return b.Rows(), nil
-}
-
-func (s *tableScan) Close() { s.cur.close() }
-
-// SizeHint reports the exact remaining row count of the snapshot. Pruned
-// segments contained no matching rows by construction, but a scan with a
-// predicate is always wrapped by its filter, whose hint is 0 — this exact
-// hint only surfaces for plain scans.
-func (s *tableScan) SizeHint() int { return s.cur.remaining() }
-
-// tableColScan is the columnar twin of tableScan: same cursor, no pivot.
-type tableColScan struct {
-	ctx context.Context
-	cur partCursor
-}
-
-func (s *tableColScan) NextBatch() (*schema.ColBatch, error) {
-	if err := s.ctx.Err(); err != nil {
-		s.cur.close()
-		return nil, err
-	}
-	return s.cur.next()
-}
-
-func (s *tableColScan) Close() { s.cur.close() }
-
-// ScanMorsels opens a partitioned scan: the snapshot is split into morsels
-// (sequence-numbered row batches) handed out to however many worker
-// goroutines pull from the returned source. The cursor is one atomic
-// counter — claiming a morsel is a single fetch-and-add, so workers never
-// serialize on a lock. Morsel boundaries are segment-aligned: a morsel
-// never spans two segments, so each claim touches exactly one segment and
-// on-disk segments decode once, on the first worker to claim into them.
-// The claim index is the Seq, so numbering is contiguous by construction.
-// The row pivot runs on the claiming worker's goroutine, outside any lock.
+// ScanColMorsels opens a partitioned columnar scan: the snapshot is split
+// into morsels (sequence-numbered zero-copy column windows of the selected
+// columns) handed out to however many worker goroutines pull from the
+// returned source. The cursor is one atomic counter — claiming a morsel is
+// a single fetch-and-add, so workers never serialize on a lock. Morsel
+// boundaries are segment-aligned: a morsel never spans two segments, so
+// each claim touches exactly one segment and on-disk segments decode once,
+// on the first worker to claim into them. The claim index is the Seq, so
+// numbering is contiguous by construction. Segments pruned by sc.Predicate
+// produce no morsels at all.
 //
 // The source snapshots the table at open: workers partition exactly the
 // rows present then, and stay unaffected by concurrent Append or Truncate.
@@ -570,19 +521,7 @@ func (s *tableColScan) Close() { s.cur.close() }
 // in-flight claim, so order-sensitive consumers (the engine's exchange)
 // additionally bind their pipeline head to ctx, which guarantees the error
 // surfaces even if the morsel-level delivery is overtaken.
-func (t *Table) ScanMorsels(ctx context.Context, batchSize int) schema.MorselSource {
-	return &tableMorsels{cursor: t.openCursor(ctx, schema.ColScan{BatchSize: batchSize})}
-}
-
-// ScanColMorsels is the columnar twin of ScanMorsels: workers claim
-// zero-copy column windows of the selected columns and run their kernels
-// without ever building rows. Segments pruned by sc.Predicate produce no
-// morsels at all.
 func (t *Table) ScanColMorsels(ctx context.Context, sc schema.ColScan) schema.ColMorselSource {
-	return &tableColMorsels{cursor: t.openCursor(ctx, sc)}
-}
-
-func (t *Table) openCursor(ctx context.Context, sc schema.ColScan) *morselCursor {
 	batch := sc.BatchSize
 	if batch <= 0 {
 		batch = schema.DefaultBatchSize
@@ -596,11 +535,11 @@ func (t *Table) openCursor(ctx context.Context, sc schema.ColScan) *morselCursor
 	return c
 }
 
-// morselCursor is the shared lock-free heart of both morsel sources: a
-// part-list snapshot plus one atomic claim counter. claim() is wait-free;
-// everything per-morsel (opening the part, windowing, pivoting) happens on
-// the caller's goroutine. starts[i] is the first morsel seq of part i, so
-// morsels are segment-aligned and contiguous across parts.
+// morselCursor is the lock-free morsel source: a part-list snapshot plus
+// one atomic claim counter. claim() is wait-free; everything per-morsel
+// (opening the part, windowing) happens on the caller's goroutine.
+// starts[i] is the first morsel seq of part i, so morsels are
+// segment-aligned and contiguous across parts.
 type morselCursor struct {
 	ctx     context.Context
 	snap    *tableSnap
@@ -648,63 +587,27 @@ func (c *morselCursor) cancelled() (int, error, bool) {
 	return 0, nil, true
 }
 
-// window opens the claimed part (first claimant decodes; the rest share)
-// and cuts [lo, hi) out of it.
-func (c *morselCursor) window(p *scanPart, lo, hi int) (*schema.ColBatch, error) {
-	b, err := p.open()
-	if err != nil {
-		return nil, err
-	}
-	return windowBatch(b, lo, hi), nil
-}
-
-func (c *morselCursor) close() { c.closed.Store(true) }
-
-// tableMorsels serves row-major morsels: claim, window, pivot worker-side.
-type tableMorsels struct{ cursor *morselCursor }
-
-func (m *tableMorsels) NextMorsel() (schema.Morsel, error) {
-	if seq, err, done := m.cursor.cancelled(); done {
-		if err != nil {
-			return schema.Morsel{Seq: seq}, err
-		}
-		return schema.Morsel{}, nil
-	}
-	seq, part, lo, hi, ok := m.cursor.claim()
-	if !ok {
-		return schema.Morsel{}, nil
-	}
-	b, err := m.cursor.window(part, lo, hi)
-	if err != nil {
-		return schema.Morsel{Seq: seq}, err
-	}
-	return schema.Morsel{Seq: seq, Rows: b.Rows()}, nil
-}
-
-func (m *tableMorsels) Close() { m.cursor.close() }
-
-// tableColMorsels serves columnar morsels: claim and window only, no pivot.
-type tableColMorsels struct{ cursor *morselCursor }
-
-func (m *tableColMorsels) NextColMorsel() (schema.ColMorsel, error) {
-	if seq, err, done := m.cursor.cancelled(); done {
+// NextColMorsel claims the next morsel, opens its part (the first claimant
+// decodes; the rest share) and cuts the claimed window out of it.
+func (c *morselCursor) NextColMorsel() (schema.ColMorsel, error) {
+	if seq, err, done := c.cancelled(); done {
 		if err != nil {
 			return schema.ColMorsel{Seq: seq}, err
 		}
 		return schema.ColMorsel{}, nil
 	}
-	seq, part, lo, hi, ok := m.cursor.claim()
+	seq, part, lo, hi, ok := c.claim()
 	if !ok {
 		return schema.ColMorsel{}, nil
 	}
-	b, err := m.cursor.window(part, lo, hi)
+	b, err := part.open()
 	if err != nil {
 		return schema.ColMorsel{Seq: seq}, err
 	}
-	return schema.ColMorsel{Seq: seq, Batch: b}, nil
+	return schema.ColMorsel{Seq: seq, Batch: windowBatch(b, lo, hi)}, nil
 }
 
-func (m *tableColMorsels) Close() { m.cursor.close() }
+func (c *morselCursor) Close() { c.closed.Store(true) }
 
 // Truncate removes all rows: sealed segments are dropped (a persistent
 // backend deletes their files), the tail vectors are replaced wholesale,
@@ -894,36 +797,13 @@ func (s *Store) RelationStats(name string) (rows, wireBytes int, err error) {
 }
 
 // RelationSchema returns just the schema of the named table, without
-// touching rows. Together with OpenScan it makes the store a streaming
-// (engine.BatchSource) relation source.
+// touching rows, so the engine compiles scans without a snapshot.
 func (s *Store) RelationSchema(name string) (*schema.Relation, error) {
 	t, err := s.Table(name)
 	if err != nil {
 		return nil, err
 	}
 	return t.Schema(), nil
-}
-
-// OpenScan opens an incremental batch scan over the named table with
-// projection, predicate pushdown and zone-map segment pruning, bound to
-// ctx (see Table.Scan).
-func (s *Store) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	t, err := s.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.Scan(ctx, sc), nil
-}
-
-// OpenMorsels opens a partitioned batch scan over the named table (see
-// Table.ScanMorsels). It is the storage fast path of the engine's parallel
-// scans: morsels are locked subslices, never copies.
-func (s *Store) OpenMorsels(ctx context.Context, name string, batchSize int) (schema.MorselSource, error) {
-	t, err := s.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.ScanMorsels(ctx, batchSize), nil
 }
 
 // OpenColScan opens a columnar scan over the named table: zero-copy typed
@@ -939,7 +819,9 @@ func (s *Store) OpenColScan(ctx context.Context, name string, sc schema.ColScan)
 }
 
 // OpenColMorsels opens a partitioned columnar scan over the named table
-// (see Table.ScanColMorsels): the parallel twin of OpenColScan.
+// (see Table.ScanColMorsels): the parallel twin of OpenColScan. It is the
+// storage fast path of the engine's parallel scans: morsels are zero-copy
+// windows, never copies.
 func (s *Store) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
 	t, err := s.Table(name)
 	if err != nil {

@@ -160,10 +160,15 @@ func scanTable(t *testing.T, n int) *Table {
 
 func TestTableScanBatches(t *testing.T) {
 	tab := scanTable(t, 10)
-	it := tab.Scan(context.Background(), schema.Scan{BatchSize: 4})
+	it := rowScan(context.Background(), tab, schema.Scan{BatchSize: 4})
 	var sizes []int
 	total := 0
 	for {
+		// The pivoted scan reports the exact unread row count, so a drain
+		// sizes its output once.
+		if h := it.(schema.SizeHinter).SizeHint(); h != 10-total {
+			t.Fatalf("size hint %d after %d rows, want %d", h, total, 10-total)
+		}
 		b, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +186,7 @@ func TestTableScanBatches(t *testing.T) {
 
 func TestTableScanFilterAndProjection(t *testing.T) {
 	tab := scanTable(t, 100)
-	it := tab.Scan(context.Background(), schema.Scan{
+	it := rowScan(context.Background(), tab, schema.Scan{
 		Columns:   []int{1},
 		Filter:    func(r schema.Row) (bool, error) { return r[0].AsFloat() < 10, nil },
 		BatchSize: 7,
@@ -205,7 +210,7 @@ func TestTableScanFilterAndProjection(t *testing.T) {
 
 func TestTableScanStopsEarly(t *testing.T) {
 	tab := scanTable(t, 1000)
-	it := tab.Scan(context.Background(), schema.Scan{BatchSize: 16})
+	it := rowScan(context.Background(), tab, schema.Scan{BatchSize: 16})
 	b, err := it.Next()
 	if err != nil || len(b) != 16 {
 		t.Fatalf("first batch: %d rows, err %v", len(b), err)
@@ -218,7 +223,7 @@ func TestTableScanStopsEarly(t *testing.T) {
 
 func TestTableScanSeesConcurrentAppendsSafely(t *testing.T) {
 	tab := scanTable(t, 50)
-	it := tab.Scan(context.Background(), schema.Scan{BatchSize: 8})
+	it := rowScan(context.Background(), tab, schema.Scan{BatchSize: 8})
 	first, err := it.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +257,7 @@ func TestScanHonoursContext(t *testing.T) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	it := tab.Scan(ctx, schema.Scan{})
+	it := rowScan(ctx, tab, schema.Scan{})
 	defer it.Close()
 
 	b, err := it.Next()
@@ -273,7 +278,7 @@ func TestScanCloseIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it := tab.Scan(context.Background(), schema.Scan{})
+	it := rowScan(context.Background(), tab, schema.Scan{})
 	it.Close()
 	it.Close()
 	if b, err := it.Next(); b != nil || err != nil {
@@ -297,7 +302,7 @@ func TestSchemaEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.Truncate()
-	it := tab.Scan(context.Background(), schema.Scan{})
+	it := rowScan(context.Background(), tab, schema.Scan{})
 	if _, err := it.Next(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestScanMorselsStress(t *testing.T) {
 		batch   = 37 // deliberately not a divisor of n: last morsel is ragged
 	)
 	tab := morselStore(t, n)
-	src := tab.ScanMorsels(context.Background(), batch)
+	src := tab.ScanColMorsels(context.Background(), schema.ColScan{BatchSize: batch})
 	defer src.Close()
 
 	var mu sync.Mutex
@@ -33,17 +33,20 @@ func TestScanMorselsStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				m, err := src.NextMorsel()
+				m, err := src.NextColMorsel()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if m.Rows == nil {
+				if m.Batch == nil {
 					return
 				}
+				// The pivot runs on the claiming worker, as a row consumer's
+				// would: each morsel's rows come out of its own window.
+				rows := m.Batch.Rows()
 				mu.Lock()
 				seqs[m.Seq]++
-				for _, r := range m.Rows {
+				for _, r := range rows {
 					claimed[r[0].AsInt()]++
 				}
 				mu.Unlock()

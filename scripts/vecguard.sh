@@ -24,6 +24,14 @@
 # but the hand-off would silently fall back to rows and every stage above
 # the first would lose the vectorized operators again. Rows are built only
 # by the chain's consumers (fragment/materialize.go, network.Stream.Next).
+#
+# Storage serves columns only: Table.ScanColumns and Table.ScanColMorsels
+# are its scan surfaces, and engine.ColScanner is the one scan contract a
+# source implements. A row scan (schema.RowIterator) or a row morsel source
+# (schema.Morsel, schema.MorselSource) in internal/storage, or a
+# BatchSource / MorselScanner interface in internal/engine, would bring
+# back the second, row-major way to reach the same data that every row
+# consumer already gets by pivoting the column batches (engine.OpenScan).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,5 +53,19 @@ if [ -n "$hits" ]; then
 	echo "$hits"
 	status=1
 fi
+hits=$(grep -n 'RowIterator\|schema\.Morsel' $(ls internal/storage/*.go | grep -v '_test\.go$') || true)
+if [ -n "$hits" ]; then
+	echo "internal/storage must serve columns only — no row scans or row morsel sources"
+	echo "(row consumers pivot ColIterator / ColMorselSource batches themselves):"
+	echo "$hits"
+	status=1
+fi
+hits=$(grep -n 'type[[:space:]]\{1,\}\(BatchSource\|MorselScanner\)\b' internal/engine/*.go || true)
+if [ -n "$hits" ]; then
+	echo "internal/engine must keep ColScanner as the one scan contract — no row scan interfaces"
+	echo "(engine.OpenScan pivots a ColScanner's batches for row consumers):"
+	echo "$hits"
+	status=1
+fi
 [ "$status" -eq 0 ] || exit "$status"
-echo "vecguard: ok (kernels and the stage hand-off are pivot-free)"
+echo "vecguard: ok (kernels and the stage hand-off are pivot-free; storage serves columns only)"
